@@ -4,7 +4,6 @@ combinatorial models they enumerate, in exact rational arithmetic."""
 from dixonian.core import (
     DEFAULT_ORDER,
     BivariatePoly,
-    ExactRational,
     InvalidUrnStateError,
     PowerSeries,
     delta_apply,
@@ -21,7 +20,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_ORDER",
     "BivariatePoly",
-    "ExactRational",
     "InvalidUrnStateError",
     "PowerSeries",
     "delta_apply",

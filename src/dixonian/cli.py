@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -31,7 +32,7 @@ from dixonian.contfrac import (
     verify_conrad,
 )
 from dixonian.core import PowerSeries, series_compose, series_derive
-from dixonian.functions import dixon_egf_integers, dixon_series, weierstrass_P
+from dixonian.functions import dixon_egf_integers, dixon_egf_table, dixon_series
 from dixonian.numerics import NumericValue, eval_cmh, eval_smh, pi3
 from dixonian.permutations import (
     andre_polynomials,
@@ -89,12 +90,10 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class Config:
-    """Resolved global settings.  ``order`` is the engine truncation
-    depth and never drops below 4; ``table_order`` keeps the requested
-    row bound for displays."""
+    """Resolved global settings.  ``order`` is the last row of a series
+    table."""
 
     order: int = 60
-    table_order: int = 60
     precision: int = 30
     brute_force_cap: int = 9
     output_format: str = "text"
@@ -126,12 +125,12 @@ def _resolve_int(flag: int | None, env_name: str, default: int) -> int:
 
 
 def resolve_config(args: argparse.Namespace) -> Config:
-    raw_order = _resolve_int(args.order, ORDER_ENV, 60)
+    order = _resolve_int(args.order, ORDER_ENV, 60)
     precision = _resolve_int(args.precision, PRECISION_ENV, 30)
     fmt = args.format or os.environ.get(FORMAT_ENV) or "text"
     if fmt not in _FORMATS:
         raise UsageError(f"format must be one of {', '.join(_FORMATS)}")
-    if raw_order < 0:
+    if order < 0:
         raise UsageError("order must be nonnegative")
     if precision < 10:
         raise UsageError("precision must be at least 10")
@@ -140,8 +139,7 @@ def resolve_config(args: argparse.Namespace) -> Config:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return Config(
-        order=max(raw_order, 4),
-        table_order=raw_order,
+        order=order,
         precision=precision,
         brute_force_cap=cap,
         output_format=fmt,
@@ -153,21 +151,11 @@ def resolve_config(args: argparse.Namespace) -> Config:
 
 def cmd_series(args: argparse.Namespace, config: Config) -> CommandOutput:
     name = args.function
-    if name == "P":
-        series = weierstrass_P(config.order)
-    else:
-        pair = dixon_series(config.order)
-        series = getattr(pair, name)
     lines = []
     rows = []
-    fact = 1
-    for n in range(config.table_order + 1):
-        if n:
-            fact *= n
-        c = series.coefficient(n)
-        k = c * fact
-        scaled = str(k.numerator) if k.denominator == 1 else str(k)
-        if c == 0:
+    for n, k in enumerate(dixon_egf_table(name, config.order)):
+        scaled = str(k)
+        if k == 0:
             mid = "0"
         elif n == 0:
             mid = scaled
@@ -178,7 +166,7 @@ def cmd_series(args: argparse.Namespace, config: Config) -> CommandOutput:
     payload = {
         "command": "series",
         "function": name,
-        "order": config.table_order,
+        "order": config.order,
         "rows": [
             {"n": int(r[0]), "coefficient": r[1], "egf_integer": r[2]}
             for r in rows
@@ -275,10 +263,7 @@ def _verify_urn(args: argparse.Namespace) -> list[tuple]:
             if args.inject_fault:
                 counts[min(counts)] += 1
             total = sum(counts.values())
-            fact = 1
-            for i in range(2, n + 1):
-                fact *= i
-            if dict(counts) != expected or total != fact:
+            if dict(counts) != expected or total != math.factorial(n):
                 ok = False
                 detail = f"n={n}: words {dict(counts)} vs operator {expected}"
                 break

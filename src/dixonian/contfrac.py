@@ -23,6 +23,7 @@ taken as printed.  Extraction from the actual series confirms the signs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -35,7 +36,7 @@ from dixonian.core import (
     series_integrate,
     series_mul,
 )
-from dixonian.functions import dixon_series
+from dixonian.functions import dixon_egf_product
 
 __all__ = [
     "Monomial",
@@ -188,15 +189,9 @@ S_FAMILIES: dict[str, tuple[Monomial, Callable[[int], int]]] = {
     "smcm": (Monomial(Fraction(1), 2), _s_smcm),
 }
 
-# Which sm^p cm^q product each family transforms, and the valuation of
-# that product (the x-power of its first term).
-_FAMILY_PRODUCT: dict[str, tuple[int, int, int]] = {
-    "sm": (1, 0, 1),
-    "sm2": (2, 0, 2),
-    "sm3": (3, 0, 3),
-    "cm": (0, 1, 0),
-    "smcm": (1, 1, 1),
-    "sm2cm": (2, 1, 2),
+# Which sm^p cm^q product each family transforms; the product starts at z^p.
+_FAMILY_PRODUCT: dict[str, tuple[int, int]] = {
+    "sm": (1, 0), "sm2": (2, 0), "sm3": (3, 0), "cm": (0, 1), "smcm": (1, 1), "sm2cm": (2, 1),
 }
 
 # The doubled integers 1,1,2,2,3,3,... tile every coefficient table: each
@@ -217,35 +212,24 @@ def laplace_shifted(f: PowerSeries) -> PowerSeries:
     """Shifted Borel-Laplace transfer: [x^(m+1)] result = m! [z^m] f.
 
     This is the index convention under which the fraction prefactors come
-    out as coeff * x^power; the unshifted variant lives in functions.py.
+    out as coeff * x^power.
     """
-    out = [Fraction(0)]
-    fact = 1
-    for m, c in enumerate(f.coeffs):
-        if m > 1:
-            fact *= m
-        out.append(c * fact)
-    return PowerSeries(out, f.order + 1)
+    return PowerSeries(
+        [0, *(c * math.factorial(m) for m, c in enumerate(f.coeffs))], f.order + 1
+    )
 
 
 def family_ogf(family: str, m_max: int) -> PowerSeries:
     """The reduced series G(w) with F(x) = prefactor * G(x^3), G(0) = 1.
 
-    F is the shifted transfer of sm^p cm^q for the family's (p, q); the
-    reduction divides out the prefactor and reads every third coefficient.
+    F is the shifted transfer of sm^p cm^q for the family's (p, q), so
+    [x^(n+1)] F is the integer n! [z^n] sm^p cm^q; the reduction divides
+    out the prefactor and reads every third coefficient.
     """
-    p, q, val = _FAMILY_PRODUCT[family]
+    p, q = _FAMILY_PRODUCT[family]
     pre = (J_FAMILIES[family][0] if family in J_FAMILIES else S_FAMILIES[family][0])
-    need = 3 * m_max + val
-    base = dixon_series(max(DEFAULT_ORDER, need))
-    prod = base.sm**p if p else PowerSeries.one(base.order)
-    if q:
-        prod = series_mul(prod, base.cm)
-    shifted = laplace_shifted(prod)
-    coeffs = []
-    for m in range(m_max + 1):
-        coeffs.append(shifted.coefficient(3 * m + val + 1) / pre.coeff)
-    g = PowerSeries(coeffs, m_max)
+    moments = dixon_egf_product(p, q, 3 * m_max + p)
+    g = PowerSeries([moments[3 * m + p] / pre.coeff for m in range(m_max + 1)], m_max)
     if g.coefficient(0) != 1:
         raise AssertionError(f"family {family} did not normalize to G(0) = 1")
     return g
@@ -557,10 +541,8 @@ def meixner_denominator(h: int) -> tuple[Fraction, ...]:
     # exp(z * atan) = sum_j z^j atan^j / j!; collect polynomials in z per t-power.
     polys: list[list[Fraction]] = [[Fraction(0)] for _ in range(order + 1)]
     power = PowerSeries.one(order)
-    fact = 1
     for j in range(order + 1):
-        if j:
-            fact *= j
+        fact = math.factorial(j)
         for tpow in range(order + 1):
             c = power.coefficient(tpow) / fact
             if c:
@@ -623,9 +605,6 @@ def valent_ops(max_n: int, route: str = "recurrence") -> list[list[Fraction]]:
             series_binomial_pow(PowerSeries([1, 0, 0, -1], order - 1), Fraction(-2, 3))
         )
         theta3 = theta**3
-        fact3 = [1]
-        for n in range(1, max_n + 1):
-            fact3.append(fact3[-1] * (3 * n - 2) * (3 * n - 1) * (3 * n))
         polys = []
         cur = base  # base * theta^(3m), starting at m = 0
         cols: list[list[Fraction]] = []
@@ -635,7 +614,8 @@ def valent_ops(max_n: int, route: str = "recurrence") -> list[list[Fraction]]:
                 cur = series_mul(cur, theta3)
         for n in range(max_n + 1):
             poly = [
-                Fraction(fact3[n], fact3[m]) * cols[m][n] for m in range(n + 1)
+                Fraction(math.factorial(3 * n), math.factorial(3 * m)) * cols[m][n]
+                for m in range(n + 1)
             ]
             polys.append(poly)
         return polys
@@ -648,18 +628,14 @@ def valent_ops(max_n: int, route: str = "recurrence") -> list[list[Fraction]]:
 def scd_transforms(max_n: int, order: int = DEFAULT_ORDER) -> dict[str, list[PowerSeries]]:
     """Shifted transfers of sm^n, sm^n cm, sm^n cm^2 for n = 0..max_n.
 
-    Everything is computed directly from the exact series; the recurrences
-    that link the three ladders are the subject of the tests, not inputs
-    to this construction.
+    Everything is computed directly from the exact integer moments; the
+    recurrences that link the three ladders are the subject of the tests,
+    not inputs to this construction.
     """
-    pair = dixon_series(order)
-    out: dict[str, list[PowerSeries]] = {"S": [], "C": [], "D": []}
-    sm_pow = PowerSeries.one(order)
-    cm = pair.cm
-    cm2 = series_mul(cm, cm)
-    for n in range(max_n + 1):
-        out["S"].append(laplace_shifted(sm_pow).truncate(order))
-        out["C"].append(laplace_shifted(series_mul(sm_pow, cm)).truncate(order))
-        out["D"].append(laplace_shifted(series_mul(sm_pow, cm2)).truncate(order))
-        sm_pow = series_mul(sm_pow, pair.sm)
-    return out
+    return {
+        name: [
+            PowerSeries([0, *dixon_egf_product(n, q, order - 1)], order)
+            for n in range(max_n + 1)
+        ]
+        for name, q in (("S", 0), ("C", 1), ("D", 2))
+    }

@@ -7,12 +7,12 @@ urn operators) computes over the two types defined here.  Coefficients are
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "DEFAULT_ORDER",
-    "ExactRational",
     "PowerSeries",
     "BivariatePoly",
     "InvalidUrnStateError",
@@ -30,8 +30,6 @@ __all__ = [
 #: Truncation order used when callers do not ask for anything else.  High
 #: enough for every golden table in the test suite, with headroom.
 DEFAULT_ORDER = 60
-
-ExactRational = Fraction
 
 
 def format_rational(q: Fraction) -> str:
@@ -123,11 +121,7 @@ class PowerSeries:
 
     def egf_coefficient(self, n: int) -> Fraction:
         """n! times the n-th coefficient (the EGF reading of the series)."""
-        c = self.coefficient(n)
-        f = 1
-        for k in range(2, n + 1):
-            f *= k
-        return c * f
+        return self.coefficient(n) * math.factorial(n)
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None for the zero series."""

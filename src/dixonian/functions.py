@@ -4,47 +4,38 @@ The pair is defined by the first-order system
 
     sm' = cm^2,   cm' = -sm^2,   sm(0) = 0,  cm(0) = 1,
 
-solved here two independent ways: Picard iteration on the integral
-equations (the reference construction) and reversion of a hypergeometric
-integral (the cross-check).  A third route, the coefficient recurrence of
-the system in EGF form, produces integer tables fast enough for very high
-orders and is what the numeric evaluator consumes.
+solved here two independent ways.  The construction runs the system's
+coefficient recurrence in EGF form, where every n! [z^n] sm and
+n! [z^n] cm is an integer; those cached tables are the only place the
+coefficients are computed.  Products sm^p cm^q are binomial convolutions
+of the tables, still in integers, and the rational series are the tables
+divided by n!.  The cross-check reverts a hypergeometric integral and
+never touches the ODE.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
-from dixonian.core import (
-    DEFAULT_ORDER,
-    PowerSeries,
-    series_integrate,
-    series_mul,
-    series_revert,
-)
+from dixonian.core import DEFAULT_ORDER, PowerSeries, series_revert
 
 __all__ = [
     "DixonPair",
     "dixon_series",
     "dixon_egf_integers",
+    "dixon_egf_product",
+    "dixon_egf_table",
     "hyp2f1_series",
     "sm_via_hypergeometric",
-    "laplace_egf_to_ogf",
     "weierstrass_P",
     "weierstrass_P_via_hypergeometric",
     "dumont_R",
 ]
-
-
-def _alternate(f: PowerSeries, negate: bool) -> PowerSeries:
-    """f(-z), optionally negated (used for the hyperbolic companions)."""
-    sign = -1 if negate else 1
-    return PowerSeries(
-        [sign * (-1) ** n * c for n, c in enumerate(f.coeffs)], f.order
-    )
 
 
 @dataclass(frozen=True)
@@ -61,74 +52,111 @@ class DixonPair:
     @property
     def smh(self) -> PowerSeries:
         """-sm(-z): the companion with all-positive coefficients."""
-        return _alternate(self.sm, negate=True)
+        return _from_egf(dixon_egf_table("smh", self.order))
 
     @property
     def cmh(self) -> PowerSeries:
         """cm(-z)."""
-        return _alternate(self.cm, negate=False)
+        return _from_egf(dixon_egf_table("cmh", self.order))
+
+
+# Integer EGF tables n! [z^n] sm and n! [z^n] cm, grown on demand and
+# published as one immutable pair, so a reader never sees a half-grown table.
+_EGF_LOCK = threading.Lock()
+_EGF_TABLES: tuple[tuple[int, ...], tuple[int, ...]] = ((0, 1), (1, 0))
+
+
+def _binomial_sum(n: int, start: int, stop: int, f: Sequence[int], g: Sequence[int]) -> int:
+    """Sum of C(n, i) f[i] g[n - i] over i = start, start + 3, ... below stop.
+
+    Every table here lives on one residue class mod 3, hence the stride.
+    The binomial is carried along the row, C(n, i + 3) from C(n, i),
+    rather than recomputed for every term.
+    """
+    c = math.comb(n, start)
+    total = 0
+    for i in range(start, stop, 3):
+        total += c * f[i] * g[n - i]
+        c = c * (n - i) * (n - i - 1) * (n - i - 2) // ((i + 1) * (i + 2) * (i + 3))
+    return total
+
+
+def _binomial_square(n: int, start: int, f: Sequence[int]) -> int:
+    """_binomial_sum(n, start, n + 1, f, f), from the lower half of the row."""
+    total = 2 * _binomial_sum(n, start, (n + 1) // 2, f, f)
+    if n % 2 == 0 and (n // 2 - start) % 3 == 0:
+        total += math.comb(n, n // 2) * f[n // 2] ** 2
+    return total
+
+
+def dixon_egf_integers(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Integer tables (n! [z^n] sm, n! [z^n] cm) for n = 0..n_max.
+
+    The system in EGF form reads a(n+1) = sum C(n,i) b(i) b(n-i) and
+    b(n+1) = -sum C(n,i) a(i) a(n-i), all in integers; only sm indices
+    = 1 mod 3 and cm indices = 0 mod 3 are nonzero.  The tables are cached
+    across calls and safe to share between threads.
+    """
+    global _EGF_TABLES
+    a, b = _EGF_TABLES
+    if len(a) <= n_max:
+        with _EGF_LOCK:
+            a, b = _EGF_TABLES
+            if len(a) <= n_max:
+                a, b = list(a), list(b)
+                for n in range(len(a) - 1, n_max):
+                    a.append(_binomial_square(n, 0, b) if n % 3 == 0 else 0)
+                    b.append(-_binomial_square(n, 1, a) if n % 3 == 2 else 0)
+                _EGF_TABLES = a, b = tuple(a), tuple(b)
+    return a[: n_max + 1], b[: n_max + 1]
+
+
+def dixon_egf_product(p: int, q: int, n_max: int) -> list[int]:
+    """Integers n! [z^n] sm^p cm^q for n = 0..n_max.
+
+    The EGF of a product is the binomial convolution of the factors'
+    tables, so every power stays in integers.
+    """
+    sm, cm = dixon_egf_integers(n_max)
+    factors = [(sm, 1)] * p + [(cm, 0)] * q
+    out, r = factors.pop(0) if factors else ((1,) + (0,) * n_max, 0)
+    for f, s in factors:
+        # out lives on n = r mod 3 and f on n = s mod 3.
+        out = [
+            _binomial_sum(n, r, n + 1, out, f) if (n - r - s) % 3 == 0 else 0
+            for n in range(n_max + 1)
+        ]
+        r = (r + s) % 3
+    return list(out)
+
+
+# name -> (p, q, hyperbolic).  The hyperbolic companions smh = -sm(-z) and
+# cmh = cm(-z) give smh^p cmh^q = (-1)^p (sm^p cm^q)(-z); P is smh cmh.
+_EGF_NAMES = {"sm": (1, 0, False), "cm": (0, 1, False),
+              "smh": (1, 0, True), "cmh": (0, 1, True), "P": (1, 1, True)}
+
+
+def dixon_egf_table(name: str, n_max: int) -> list[int]:
+    """n! [z^n] of sm, cm, smh, cmh or P = smh cmh, for n = 0..n_max."""
+    p, q, hyperbolic = _EGF_NAMES[name]
+    table = dixon_egf_product(p, q, n_max)
+    if hyperbolic:
+        return [c if (p + n) % 2 == 0 else -c for n, c in enumerate(table)]
+    return table
+
+
+def _from_egf(table: Sequence[int]) -> PowerSeries:
+    """The series whose n-th coefficient is table[n] / n!."""
+    return PowerSeries(
+        [Fraction(c, math.factorial(n)) for n, c in enumerate(table)], len(table) - 1
+    )
 
 
 @lru_cache(maxsize=8)
 def dixon_series(order: int = DEFAULT_ORDER) -> DixonPair:
-    """Solve the defining system by Picard iteration, exactly.
-
-    Each round substitutes the current pair into sm = int cm^2 and
-    cm = 1 - int sm^2.  A round extends the agreement with the true
-    solution by at least three orders, so ceil(order/3) + 1 rounds
-    suffice; the extra round doubles as a fixed-point check.
-    """
-    sm = PowerSeries.zero(order)
-    cm = PowerSeries.one(order)
-    rounds = order // 3 + 2
-    for _ in range(rounds):
-        # Feeding the refreshed sm straight into the cm update gains three
-        # orders of agreement per round instead of 1.5.
-        sm = series_integrate(series_mul(cm, cm)).truncate(order)
-        cm = PowerSeries.one(order) - series_integrate(series_mul(sm, sm)).truncate(order)
-    check_sm = series_integrate(series_mul(cm, cm)).truncate(order)
-    check_cm = PowerSeries.one(order) - series_integrate(series_mul(sm, sm)).truncate(order)
-    if check_sm != sm or check_cm != cm:
-        raise AssertionError("Picard iteration failed to reach its fixed point")
-    return DixonPair(sm=sm, cm=cm)
-
-
-# Integer EGF tables n! [z^n] sm and n! [z^n] cm, grown on demand.  The
-# system in EGF form reads a(n+1) = sum C(n,i) b(i) b(n-i) and
-# b(n+1) = -sum C(n,i) a(i) a(n-i); everything stays an integer.
-_EGF_SM: list[int] = [0, 1]
-_EGF_CM: list[int] = [1, 0]
-
-
-def dixon_egf_integers(n_max: int) -> tuple[list[int], list[int]]:
-    """Integer tables (n! [z^n] sm, n! [z^n] cm) for n = 0..n_max.
-
-    Cached across calls; only sm indices = 1 mod 3 and cm indices
-    = 0 mod 3 are nonzero, which the inner sums exploit.
-    """
-    a, b = _EGF_SM, _EGF_CM
-    while len(a) <= n_max:
-        n = len(a) - 1
-        # a_{n+1}: products b_i b_{n-i} need i and n-i both = 0 mod 3.
-        sa = 0
-        if (n + 1) % 3 == 1:
-            i = 0
-            while 2 * i <= n:
-                if b[i] and b[n - i]:
-                    t = math.comb(n, i) * b[i] * b[n - i]
-                    sa += t if 2 * i == n else 2 * t
-                i += 3
-        sb = 0
-        if (n + 1) % 3 == 0:
-            i = 1
-            while 2 * i <= n:
-                if a[i] and a[n - i]:
-                    t = math.comb(n, i) * a[i] * a[n - i]
-                    sb += t if 2 * i == n else 2 * t
-                i += 3
-        a.append(sa)
-        b.append(-sb)
-    return a[: n_max + 1], b[: n_max + 1]
+    """The exact truncated pair, read off the integer EGF tables."""
+    sm, cm = dixon_egf_integers(order)
+    return DixonPair(sm=_from_egf(sm), cm=_from_egf(cm))
 
 
 def hyp2f1_series(a: Fraction, b: Fraction, c: Fraction, order: int) -> PowerSeries:
@@ -156,21 +184,9 @@ def sm_via_hypergeometric(order: int = DEFAULT_ORDER) -> PowerSeries:
     return series_revert(PowerSeries(coeffs, order))
 
 
-def laplace_egf_to_ogf(f: PowerSeries) -> PowerSeries:
-    """Borel-Laplace transfer: [x^n] result = n! [z^n] f (no index shift)."""
-    out = []
-    fact = 1
-    for n, c in enumerate(f.coeffs):
-        if n > 1:
-            fact *= n
-        out.append(c * fact)
-    return PowerSeries(out, f.order)
-
-
 def weierstrass_P(order: int = DEFAULT_ORDER) -> PowerSeries:
     """The product smh * cmh, which solves P'^2 = 4 P^3 + 1."""
-    pair = dixon_series(order)
-    return series_mul(pair.smh, pair.cmh)
+    return _from_egf(dixon_egf_table("P", order))
 
 
 def weierstrass_P_via_hypergeometric(order: int = DEFAULT_ORDER) -> PowerSeries:

@@ -9,9 +9,11 @@ bound includes both the geometric tail and floating-point rounding slack.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 import mpmath
 from mpmath import mp, mpf
@@ -55,7 +57,9 @@ class NumericValue:
         """Fixed-point rendering, truncated toward zero and clamped to the
         justified precision."""
         places = min(places, self.decimal_places())
-        with mp.workdps(mp.dps + 10):
+        # Every digit of the integer part and of the places must survive
+        # the scaling, whatever the caller's working precision.
+        with mp.workdps(places + max(mpmath.mag(self.value), 0) // 3 + 10):
             scaled = int(self.value * mpf(10) ** places)
         sign = "-" if scaled < 0 else ""
         digits = str(abs(scaled)).rjust(places + 1, "0")
@@ -135,6 +139,7 @@ def tanh_sinh_quad(f, a: object, b: object, dps: int = 30) -> NumericValue:
 
 
 _PI3_CHECK_DPS = 25
+_pi3_lock = threading.Lock()
 _pi3_checked = False
 
 
@@ -153,17 +158,20 @@ def pi3(dps: int = 30) -> NumericValue:
         bound = abs(closed) * mpf(10) ** (-(dps + 7))
         result = NumericValue(value=+closed, error_bound=+bound)
     if not _pi3_checked:
-        _pi3_checked = True
-        q = tanh_sinh_quad(
-            lambda t: (1 - t**3) ** (mpf(-2) / 3), 0, 1, dps=_PI3_CHECK_DPS
-        )
-        with mp.workdps(_PI3_CHECK_DPS + 10):
-            gap = abs(3 * q.value - result.value)
-            if gap > 3 * q.error_bound + mpf(10) ** (-(_PI3_CHECK_DPS + 1)):
-                _pi3_checked = False
-                raise AssertionError(
-                    "quadrature and closed form for pi3 disagree beyond bounds"
+        # The flag goes up only once the check has passed, so no thread
+        # can return a value that was never checked.
+        with _pi3_lock:
+            if not _pi3_checked:
+                q = tanh_sinh_quad(
+                    lambda t: (1 - t**3) ** (mpf(-2) / 3), 0, 1, dps=_PI3_CHECK_DPS
                 )
+                with mp.workdps(_PI3_CHECK_DPS + 10):
+                    gap = abs(3 * q.value - result.value)
+                    if gap > 3 * q.error_bound + mpf(10) ** (-(_PI3_CHECK_DPS + 1)):
+                        raise AssertionError(
+                            "quadrature and closed form for pi3 disagree beyond bounds"
+                        )
+                _pi3_checked = True
     return result
 
 
@@ -190,7 +198,7 @@ def abelian_I(y: object, dps: int = 30) -> NumericValue:
 # -- sm / cm evaluation ----------------------------------------------
 
 
-def _ratio_check(table: list[int], lo: int, hi: int) -> None:
+def _ratio_check(table: Sequence[int], lo: int, hi: int) -> None:
     """Verify |a(n+3)| * DEN^3 <= NUM^3 (n+1)(n+2)(n+3) |a(n)| exactly."""
     num3 = _RHO_NUM**3
     den3 = _RHO_DEN**3
@@ -294,6 +302,10 @@ def _eval_signed(kind: str, z: object, digits: int) -> NumericValue:
             # cm(-v) = 1/cm(v)
             val = 1 / q.value
             bound = q.error_bound / (denom * abs(q.value))
+        # Both quotients are rounded once, and both move by at most
+        # 1/cm(v)^2 per unit of v, which was rounded when it was read in.
+        ulp = mpf(2) ** (1 - mp.prec)
+        bound += abs(val) * ulp + abs(v) * ulp / denom**2
         return NumericValue(value=+val, error_bound=+bound)
 
 
@@ -311,8 +323,8 @@ def eval_smh(z: object, digits: int = 30) -> NumericValue:
     """smh(z) = -sm(-z) for real z in [-pi3/3, pi3/3); pole at pi3/3."""
     with mp.workdps(digits + 15):
         zv = -_as_mpf(z)
-    inner = _eval_signed("sm", zv, digits)
-    return NumericValue(value=-inner.value, error_bound=inner.error_bound)
+        inner = _eval_signed("sm", zv, digits)
+        return NumericValue(value=-inner.value, error_bound=inner.error_bound)
 
 
 def eval_cmh(z: object, digits: int = 30) -> NumericValue:

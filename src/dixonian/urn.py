@@ -328,13 +328,8 @@ def history_egf_partial(x0: Fraction, z: Fraction, n_max: int = 40) -> Fraction:
     sum_k H_{n,k} x0^k."""
     polys = history_polynomials(M12, 1, 0, n_max)
     total = Fraction(0)
-    zp = Fraction(1)
-    fact = 1
     for n, poly in enumerate(polys):
-        if n:
-            zp *= z
-            fact *= n
-        total += zp * poly.evaluate(x0, 1) / fact
+        total += z**n * poly.evaluate(x0, 1) / math.factorial(n)
     return total
 
 

@@ -1,7 +1,9 @@
 import json
 import math
 
+import mpmath
 import pytest
+from mpmath import mp, mpf
 
 from dixonian.cli import main
 from dixonian.urn import yule_closed_form
@@ -268,3 +270,13 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     code, out, _ = run(capsys, "series", "--help")
     assert code == 0
+
+
+def test_eval_pi3_prints_every_digit_it_claims(capsys):
+    code, out, _ = run(capsys, "eval", "pi3", "--digits", "60")
+    assert code == 0
+    value, claim = out.splitlines()
+    assert claim == "error < 2e-60"
+    assert len(value.split(".")[1]) == 60
+    with mp.workdps(100):
+        assert abs(mpf(value) - mpmath.beta(mpf(1) / 3, mpf(1) / 3)) < mpf("2e-60")

@@ -1,14 +1,21 @@
+import hashlib
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from dixonian.core import PowerSeries, series_derive, series_mul
+import dixonian
+from dixonian.contfrac import laplace_shifted
+from dixonian.core import PowerSeries, series_derive, series_integrate, series_mul
 from dixonian.functions import (
     dixon_egf_integers,
+    dixon_egf_product,
     dixon_series,
     dumont_R,
     hyp2f1_series,
-    laplace_egf_to_ogf,
     sm_via_hypergeometric,
     weierstrass_P,
     weierstrass_P_via_hypergeometric,
@@ -82,11 +89,75 @@ def test_hyperbolic_quotients(pair):
     assert pair.cmh == PowerSeries.one(60) / pair.cm
 
 
-def test_egf_integer_recurrence_matches_picard(pair):
-    a, b = dixon_egf_integers(60)
-    for n in range(61):
-        assert pair.sm.egf_coefficient(n) == a[n]
-        assert pair.cm.egf_coefficient(n) == b[n]
+def picard(order):
+    """Oracle for the EGF recurrence: Picard iteration over Fraction.
+
+    Each round substitutes the current pair into sm = int cm^2 and
+    cm = 1 - int sm^2.  Feeding the refreshed sm straight into the cm
+    update extends the agreement with the true solution by three orders
+    per round, so order // 3 + 2 rounds suffice; one more round must then
+    be a fixed point.
+    """
+    sm = PowerSeries.zero(order)
+    cm = PowerSeries.one(order)
+    for _ in range(order // 3 + 2):
+        sm = series_integrate(series_mul(cm, cm)).truncate(order)
+        cm = PowerSeries.one(order) - series_integrate(series_mul(sm, sm)).truncate(order)
+    assert series_integrate(series_mul(cm, cm)).truncate(order) == sm
+    assert PowerSeries.one(order) - series_integrate(series_mul(sm, sm)).truncate(order) == cm
+    return sm, cm
+
+
+def test_egf_integer_recurrence_matches_picard():
+    for order in (60, 90):
+        sm, cm = picard(order)
+        pair = dixon_series(order)
+        assert (pair.sm, pair.cm) == (sm, cm)
+        a, b = dixon_egf_integers(order)
+        for n in range(order + 1):
+            assert sm.egf_coefficient(n) == a[n]
+            assert cm.egf_coefficient(n) == b[n]
+
+
+@pytest.mark.parametrize("p, q", [(0, 0), (1, 0), (0, 1), (2, 0), (3, 0), (1, 1), (2, 1), (1, 2), (4, 2)])
+def test_egf_product_matches_cauchy_product(pair, p, q):
+    # Binomial convolution of integer tables against the Fraction product.
+    prod = pair.sm**p * pair.cm**q
+    assert dixon_egf_product(p, q, 60) == [prod.egf_coefficient(n) for n in range(61)]
+
+
+_THREADED_BUILD = """
+import hashlib, sys, threading
+from dixonian.functions import dixon_egf_integers
+sys.setswitchinterval(1e-5)
+barrier = threading.Barrier(4)
+results = [None] * 4
+def ask(i):
+    barrier.wait()
+    results[i] = dixon_egf_integers(600)
+threads = [threading.Thread(target=ask, args=(i,)) for i in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+    assert not t.is_alive()
+results.append(dixon_egf_integers(600))
+for r in results:
+    print(hashlib.sha256(repr(r).encode()).hexdigest())
+"""
+
+
+def test_egf_tables_are_thread_safe():
+    # Four threads grow a cold cache at once, in a fresh interpreter; each
+    # of them, and a later call, must see the single-threaded tables.
+    src = os.path.dirname(os.path.dirname(dixonian.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _THREADED_BUILD],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.split()
+    expected = hashlib.sha256(repr(dixon_egf_integers(600)).encode()).hexdigest()
+    assert out == [expected] * 5
 
 
 def test_hypergeometric_route():
@@ -101,14 +172,9 @@ def test_hyp2f1_geometric_special_case():
 
 
 def test_laplace_exponential():
-    fact = 1
-    coeffs = []
-    for n in range(9):
-        if n:
-            fact *= n
-        coeffs.append(Fraction(1, fact))
-    exp = PowerSeries(coeffs, 8)
-    assert laplace_egf_to_ogf(exp) == PowerSeries([1] * 9, 8)
+    # The shifted transfer of exp(z) = sum z^n/n! is x/(1 - x).
+    exp = PowerSeries([Fraction(1, math.factorial(n)) for n in range(9)], 8)
+    assert laplace_shifted(exp) == PowerSeries([0] + [1] * 9, 9)
 
 
 def test_weierstrass_product_and_odes(pair):

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
 import mpmath
 import pytest
 from mpmath import mp, mpf
 
+import dixonian
 from dixonian.numerics import (
     NumericValue,
     abelian_I,
@@ -55,8 +61,6 @@ def test_zeta0_is_two_thirds_pi3():
 
 
 def test_abelian_integral_against_library_quadrature():
-    from fractions import Fraction
-
     mine = abelian_I(Fraction(7, 10), dps=30)
     with mp.workdps(45):
         end = mpf(7) / 10
@@ -151,3 +155,67 @@ def test_numeric_value_clamps_rendering():
     assert v.to_string(5) == "1.23"
     exact = NumericValue(value=mpf(3), error_bound=mpf(0))
     assert exact.to_string(2) == "3.00"
+
+
+def test_smh_against_hypergeometric_inversion():
+    # smh inverts y -> y 2F1(1/3, 2/3; 4/3; -y^3), the integral of
+    # (1 + t^3)^(-2/3) from 0 to y; Newton's method solves for y = smh(1/2).
+    v = eval_smh(Fraction(1, 2), 100)
+    with mp.workdps(140):
+        third = mpf(1) / 3
+        ref = mpmath.findroot(
+            lambda y: y * mpmath.hyp2f1(third, 2 * third, 4 * third, -(y**3)) - mpf(1) / 2,
+            mpf("0.51"),
+            solver="newton",
+            df=lambda y: (1 + y**3) ** (-2 * third),
+        )
+        assert abs(v.value - ref) <= v.error_bound
+
+
+@pytest.mark.parametrize("fn", [eval_smh, eval_cmh], ids=["smh", "cmh"])
+def test_bounds_are_honest_on_grid(fn):
+    # On both sides of the 0.95 pi3/3 hand-off and up to the pole, the
+    # 30-digit value must lie within its bound of a 80-digit one.
+    for k in range(-88, 89):
+        z = Fraction(k, 50)
+        lo, hi = fn(z, 30), fn(z, 80)
+        with mp.workdps(120):
+            gap = abs(lo.value - hi.value)
+            assert gap <= lo.error_bound + hi.error_bound, f"bound broken at z = {z}"
+
+
+_PI3_THREADS = """
+import threading
+import mpmath
+import dixonian.numerics as numerics
+gamma = mpmath.gamma
+mpmath.gamma = lambda x: gamma(x) * (1 + mpmath.mpf(10) ** -12)
+barrier = threading.Barrier(4)
+outcomes = [None] * 4
+def ask(i):
+    barrier.wait()
+    try:
+        numerics.pi3(30 + i)
+        outcomes[i] = "returned"
+    except AssertionError:
+        outcomes[i] = "raised"
+threads = [threading.Thread(target=ask, args=(i,)) for i in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+    assert not t.is_alive()
+print(" ".join(outcomes))
+"""
+
+
+def test_pi3_check_holds_under_threads():
+    # A corrupted closed form must be caught by every thread that asks for
+    # pi3 while the one-time quadrature check is still running.
+    src = os.path.dirname(os.path.dirname(dixonian.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _PI3_THREADS],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+        timeout=120,
+    ).stdout.split()
+    assert out == ["raised"] * 4
