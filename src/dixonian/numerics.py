@@ -1,15 +1,21 @@
 """Validated numeric evaluation: quadrature, constants, and sm/cm values.
 
 Every routine returns a :class:`NumericValue`, a number together with a
-rigorously propagated error bound.  Series evaluation keeps truncation
-honest by an integer ratio test on the exact EGF tables, and the reported
-bound includes both the geometric tail and floating-point rounding slack.
+rigorously propagated error bound.  The period pi3 comes from an AGM and is
+checked once per process against quadrature of its defining integral.
+sm and cm are summed from their Taylor series up to pi3/6, where the
+series ratio is at most 1/2, and reflected through z -> pi3/3 - z beyond
+it.  Series evaluation keeps truncation honest by an integer ratio test on
+the exact EGF tables, and the reported bound includes both the geometric
+tail and floating-point rounding slack; a series cut short at
+``_MAX_SERIES_ORDER`` terms warns with the places it still certifies.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -143,18 +149,26 @@ _pi3_lock = threading.Lock()
 _pi3_checked = False
 
 
+def _pi3_agm(dps: int) -> mpmath.mpf:
+    """pi3 = 2^(1/3) 3^(1/4) pi / AGM(1, (sqrt 6 + sqrt 2)/4) to dps + 10 digits."""
+    with mp.workdps(dps + 10):
+        k_prime = (mp.sqrt(6) + mp.sqrt(2)) / 4
+        return mp.cbrt(2) * mp.root(3, 4) * mp.pi / mp.agm(1, k_prime)
+
+
 @lru_cache(maxsize=16)
 def pi3(dps: int = 30) -> NumericValue:
     """The cubic analogue of pi: 3 * integral of (1 - t^3)^(-2/3) over [0, 1].
 
-    Evaluated through the closed form Gamma(1/3)^3 sqrt(3) / (2 pi), which
-    is cross-checked once per process against tanh-sinh quadrature of the
+    pi3 = Gamma(1/3)^3 sqrt(3) / (2 pi), and Borwein & Zucker's reduction
+    of Gamma(1/3) to a complete elliptic integral of modulus sin 15 degrees
+    turns it into the AGM form of :func:`_pi3_agm`.  The AGM route is
+    cross-checked once per process against tanh-sinh quadrature of the
     defining integral; a disagreement beyond the bounds raises.
     """
     global _pi3_checked
     with mp.workdps(dps + 10):
-        third = mpf(1) / 3
-        closed = mpmath.gamma(third) ** 3 * mpmath.sqrt(3) / (2 * mp.pi)
+        closed = _pi3_agm(dps)
         bound = abs(closed) * mpf(10) ** (-(dps + 7))
         result = NumericValue(value=+closed, error_bound=+bound)
     if not _pi3_checked:
@@ -166,7 +180,9 @@ def pi3(dps: int = 30) -> NumericValue:
                     lambda t: (1 - t**3) ** (mpf(-2) / 3), 0, 1, dps=_PI3_CHECK_DPS
                 )
                 with mp.workdps(_PI3_CHECK_DPS + 10):
-                    gap = abs(3 * q.value - result.value)
+                    # Compared at the quadrature's precision: a caller's dps
+                    # below it would leave the AGM value too coarse to match.
+                    gap = abs(3 * q.value - _pi3_agm(_PI3_CHECK_DPS))
                     if gap > 3 * q.error_bound + mpf(10) ** (-(_PI3_CHECK_DPS + 1)):
                         raise AssertionError(
                             "quadrature and closed form for pi3 disagree beyond bounds"
@@ -216,7 +232,12 @@ def _ratio_check(table: Sequence[int], lo: int, hi: int) -> None:
 
 
 def _eval_direct(kind: str, z: mpmath.mpf, digits: int) -> NumericValue:
-    """Direct series sum for 0 <= z <= 0.95 * (pi3/3), with certified tail."""
+    """Direct series sum for 0 <= z <= (pi3/3) / 2, with certified tail.
+
+    There the ratio z / (pi3/3) is at most 1/2, so about 3.3 terms per
+    digit suffice.  The sum stays valid further out, but its term count
+    grows without bound as z nears pi3/3, so callers reflect instead.
+    """
     base = 1 if kind == "sm" else 0
     if z == 0:
         return NumericValue(value=mpf(base == 0), error_bound=mpf(0))
@@ -226,6 +247,7 @@ def _eval_direct(kind: str, z: mpmath.mpf, digits: int) -> NumericValue:
         ratio = z / a_third
         need = ((digits + 8) * math.log(10) + 5) / -math.log(float(ratio))
         M = base + 3 * math.ceil((max(36, int(need) + 12) - base) / 3)
+        clamped = M > _MAX_SERIES_ORDER
         M = min(M, _MAX_SERIES_ORDER)
         tables = dixon_egf_integers(M + 30)
         table = tables[0] if kind == "sm" else tables[1]
@@ -254,7 +276,15 @@ def _eval_direct(kind: str, z: mpmath.mpf, digits: int) -> NumericValue:
             raise AssertionError("direct evaluation called outside its region")
         tail = abs(last_term) * q / (1 - q)
         rounding = 10 * (terms + 2) * abs_total * mpf(10) ** (-prec)
-        return NumericValue(value=+total, error_bound=+(tail + rounding))
+        result = NumericValue(value=+total, error_bound=+(tail + rounding))
+    if clamped:
+        warnings.warn(
+            f"{kind} series cut at _MAX_SERIES_ORDER = {_MAX_SERIES_ORDER} terms; "
+            f"only {result.decimal_places()} places remain certified",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return result
 
 
 def _eval_nonneg(kind: str, z: mpmath.mpf, digits: int) -> NumericValue:
@@ -266,7 +296,7 @@ def _eval_nonneg(kind: str, z: mpmath.mpf, digits: int) -> NumericValue:
         a_err = p.error_bound / 3 + mpf(10) ** (-prec + 1)
         if z > a_third * (1 + mpf(10) ** (-prec + 2)):
             raise ValueError("argument exceeds the first zero pi3/3")
-        if z <= mpf("0.95") * a_third:
+        if z <= a_third / 2:
             return _eval_direct(kind, z, digits)
         # sm and cm trade places under z -> pi3/3 - z; both have unit
         # Lipschitz constant on the interval, so the uncertainty in the

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -8,6 +9,8 @@ import pytest
 from mpmath import mp, mpf
 
 import dixonian
+from dixonian import numerics
+from dixonian.cli import main
 from dixonian.numerics import (
     NumericValue,
     abelian_I,
@@ -46,6 +49,16 @@ def test_pi3_value_and_bound():
     p = pi3(30)
     assert abs(p.value - PI3_REF) <= mpf("1e-9")
     assert p.error_bound < mpf("1e-30")
+
+
+def test_pi3_matches_gamma_closed_form():
+    # The library takes pi3 from an AGM; the Gamma form
+    # Gamma(1/3)^3 sqrt(3) / (2 pi) = B(1/3, 1/3) is the independent oracle.
+    for d in (15, 100, 300):
+        p = pi3(d)
+        with mp.workdps(d + 30):
+            ref = mpmath.beta(mpf(1) / 3, mpf(1) / 3)
+            assert abs(p.value - ref) <= p.error_bound, f"pi3 off at {d} digits"
 
 
 def test_pi3_fixed_point_rendering():
@@ -117,16 +130,33 @@ def test_cubic_identity_on_grid():
 
 
 def test_direct_matches_reflected():
-    # For z below the hand-off threshold both eval_sm(z) and eval_cm(a-z)
-    # go through the direct series, so their agreement checks the
-    # reflection identity rather than the implementation against itself.
+    # Past the pi3/6 hand-off eval_sm(z) itself reflects to cm(a - z), so
+    # the sm series is summed directly here: the sm series at z and the cm
+    # series at a - z must meet, which checks the reflection identity
+    # rather than the implementation against itself.
     a = third_zero()
     with mp.workdps(30):
-        for frac in ("0.91", "0.93", "0.95"):
+        for frac in ("0.6", "0.7", "0.8"):
             z = a * mpf(frac)
-            s = eval_sm(z, digits=10)
+            s = numerics._eval_direct("sm", z, 10)
             c = eval_cm(a - z, digits=10)
             assert abs(s.value - c.value) <= s.error_bound + c.error_bound + mpf("1e-12")
+
+
+def test_series_clamp_warns(monkeypatch):
+    # 30 digits at z = 0.8 need about 120 terms; a cap of 60 cuts the sum
+    # short, which must weaken the bound and say so.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        full = eval_sm(mpf("0.8"), digits=30)
+    monkeypatch.setattr(numerics, "_MAX_SERIES_ORDER", 60)
+    with pytest.warns(RuntimeWarning, match="_MAX_SERIES_ORDER = 60") as record:
+        cut = eval_sm(mpf("0.8"), digits=30)
+    places = cut.decimal_places()
+    assert places < 30
+    assert f"only {places} places remain certified" in str(record[0].message)
+    with mp.workdps(50):
+        assert abs(cut.value - full.value) <= cut.error_bound + full.error_bound
 
 
 def test_hyperbolic_identities_numeric():
@@ -157,25 +187,44 @@ def test_numeric_value_clamps_rendering():
     assert exact.to_string(2) == "3.00"
 
 
-def test_smh_against_hypergeometric_inversion():
+def smh_by_inversion(x: Fraction, guess: str) -> mpmath.mpf:
     # smh inverts y -> y 2F1(1/3, 2/3; 4/3; -y^3), the integral of
-    # (1 + t^3)^(-2/3) from 0 to y; Newton's method solves for y = smh(1/2).
+    # (1 + t^3)^(-2/3) from 0 to y; Newton's method solves for y = smh(x)
+    # at the caller's working precision.
+    third = mpf(1) / 3
+    target = mpf(x.numerator) / x.denominator
+    return mpmath.findroot(
+        lambda y: y * mpmath.hyp2f1(third, 2 * third, 4 * third, -(y**3)) - target,
+        mpf(guess),
+        solver="newton",
+        df=lambda y: (1 + y**3) ** (-2 * third),
+    )
+
+
+def test_smh_against_hypergeometric_inversion():
     v = eval_smh(Fraction(1, 2), 100)
     with mp.workdps(140):
-        third = mpf(1) / 3
-        ref = mpmath.findroot(
-            lambda y: y * mpmath.hyp2f1(third, 2 * third, 4 * third, -(y**3)) - mpf(1) / 2,
-            mpf("0.51"),
-            solver="newton",
-            df=lambda y: (1 + y**3) ** (-2 * third),
-        )
-        assert abs(v.value - ref) <= v.error_bound
+        assert abs(v.value - smh_by_inversion(Fraction(1, 2), "0.51")) <= v.error_bound
+
+
+def test_cli_smh_prints_every_place_it_is_asked_for(capsys):
+    # smh(3/2) = sm(3/2) / cm(3/2), both reflected through pi3/3 - 3/2;
+    # with the hand-off at pi3/6 no series meets the term cap, so all 100
+    # places are certified.
+    assert main(["eval", "smh", "3/2", "--digits", "100"]) == 0
+    value, claim = capsys.readouterr().out.splitlines()
+    assert claim == "error < 2e-100"
+    assert len(value.split(".")[1]) == 100
+    with mp.workdps(140):
+        ref = smh_by_inversion(Fraction(3, 2), "3.7")
+        assert abs(mpf(value) - ref) < mpf("2e-100")
 
 
 @pytest.mark.parametrize("fn", [eval_smh, eval_cmh], ids=["smh", "cmh"])
 def test_bounds_are_honest_on_grid(fn):
-    # On both sides of the 0.95 pi3/3 hand-off and up to the pole, the
-    # 30-digit value must lie within its bound of a 80-digit one.
+    # On both sides of the pi3/6 ~ 0.883 hand-off (which k = 44 and k = 45
+    # straddle) and up to the pole, the 30-digit value must lie within its
+    # bound of a 80-digit one.
     for k in range(-88, 89):
         z = Fraction(k, 50)
         lo, hi = fn(z, 30), fn(z, 80)
@@ -188,8 +237,8 @@ _PI3_THREADS = """
 import threading
 import mpmath
 import dixonian.numerics as numerics
-gamma = mpmath.gamma
-mpmath.gamma = lambda x: gamma(x) * (1 + mpmath.mpf(10) ** -12)
+agm = mpmath.mp.agm
+mpmath.mp.agm = lambda a, b: agm(a, b) * (1 + mpmath.mpf(10) ** -12)
 barrier = threading.Barrier(4)
 outcomes = [None] * 4
 def ask(i):
@@ -209,13 +258,23 @@ print(" ".join(outcomes))
 """
 
 
-def test_pi3_check_holds_under_threads():
-    # A corrupted closed form must be caught by every thread that asks for
-    # pi3 while the one-time quadrature check is still running.
+def run_fresh(code: str) -> list[str]:
+    """The words a fresh interpreter prints, so the one-time pi3 check runs."""
     src = os.path.dirname(os.path.dirname(dixonian.__file__))
-    out = subprocess.run(
-        [sys.executable, "-c", _PI3_THREADS],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
         timeout=120,
     ).stdout.split()
-    assert out == ["raised"] * 4
+
+
+def test_pi3_check_holds_under_threads():
+    # A corrupted closed form must be caught by every thread that asks for
+    # pi3 while the one-time quadrature check is still running.
+    assert run_fresh(_PI3_THREADS) == ["raised"] * 4
+
+
+def test_pi3_check_passes_at_low_precision():
+    # The first pi3 of a process may ask for fewer digits than the
+    # quadrature check carries; the check must not mistake that for a fault.
+    assert run_fresh("import dixonian.numerics as n; print(n.pi3(5).to_string(5))") == ["5.29991"]
