@@ -17,9 +17,10 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 from mpmath import mp, mpf
 
@@ -45,6 +46,7 @@ from dixonian.permutations import (
     repeated_series,
 )
 from dixonian.urn import (
+    BRUTE_CAP_ENV,
     M12,
     brute_cap,
     enumerate_histories,
@@ -58,17 +60,6 @@ PRECISION_ENV = "DIXONIAN_PRECISION"
 FORMAT_ENV = "DIXONIAN_FORMAT"
 
 _FORMATS = ("text", "json", "csv")
-_VERIFY_TARGETS = (
-    "conrad-j",
-    "conrad-s",
-    "parity",
-    "r-repeated",
-    "urn",
-    "yule",
-    "valent",
-    "width",
-    "andre",
-)
 
 _EPILOG = """\
 CSV columns:
@@ -95,7 +86,6 @@ class Config:
 
     order: int = 60
     precision: int = 30
-    brute_force_cap: int = 9
     output_format: str = "text"
 
 
@@ -106,7 +96,6 @@ class CommandOutput:
     csv_header: list[str]
     csv_rows: list[list[str]]
     payload: dict
-    checks: list = field(default_factory=list)
 
 
 # -- configuration ---------------------------------------------------------
@@ -135,15 +124,10 @@ def resolve_config(args: argparse.Namespace) -> Config:
     if precision < 10:
         raise UsageError("precision must be at least 10")
     try:
-        cap = brute_cap()
+        brute_cap()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return Config(
-        order=order,
-        precision=precision,
-        brute_force_cap=cap,
-        output_format=fmt,
-    )
+    return Config(order=order, precision=precision, output_format=fmt)
 
 
 # -- series ----------------------------------------------------------------
@@ -178,32 +162,28 @@ def cmd_series(args: argparse.Namespace, config: Config) -> CommandOutput:
 # -- verify ----------------------------------------------------------------
 
 
-def _verify_conrad_target(kind: str, args: argparse.Namespace) -> list[tuple]:
+def _verify_conrad(
+    kind: str, depth: int, inject_fault: bool, family: str | None = None
+) -> list[tuple]:
     table = J_FAMILIES if kind == "j" else S_FAMILIES
-    if args.family is not None and args.family not in table:
+    if family is not None and family not in table:
         raise UsageError(
             f"family must be one of {', '.join(table)} for conrad-{kind}"
         )
-    families = [args.family] if args.family else list(table)
-    depth = args.depth if args.depth is not None else (8 if kind == "j" else 16)
-    if depth < 1:
-        raise UsageError("depth must be positive")
+    families = [family] if family else list(table)
     checks = []
     for fam in families:
-        rep = verify_conrad(kind, fam, depth, inject_fault=args.inject_fault)
+        rep = verify_conrad(kind, fam, depth, inject_fault=inject_fault)
         checks.append((f"{kind}-{fam}", rep.ok, rep.first_message()))
     return checks
 
 
-def _verify_parity(args: argparse.Namespace) -> list[tuple]:
-    n_max = args.n if args.n is not None else 8
-    if n_max < 1:
-        raise UsageError("--n must be positive")
+def _verify_parity(n_max: int, inject_fault: bool) -> list[tuple]:
     sm_ints, cm_ints = dixon_egf_integers(n_max)
     checks = []
     for n in range(1, n_max + 1):
         sweep = parity_class_counts(n)
-        if args.inject_fault and n == n_max:
+        if inject_fault and n == n_max:
             sweep = (sweep[0] + 1, sweep[1])
         slots = parity_class_counts_dp(n)
         series = (abs(sm_ints[n]), abs(cm_ints[n]))
@@ -216,10 +196,7 @@ def _verify_parity(args: argparse.Namespace) -> list[tuple]:
     return checks
 
 
-def _verify_repeated(args: argparse.Namespace) -> list[tuple]:
-    n_max = args.max_n if args.max_n is not None else 7
-    if n_max < 1:
-        raise UsageError("--max-n must be positive")
+def _verify_repeated(n_max: int, inject_fault: bool) -> list[tuple]:
     checks = []
     for r in (1, 2, 3):
         for open_right in (False, True):
@@ -233,7 +210,7 @@ def _verify_repeated(args: argparse.Namespace) -> list[tuple]:
             depth = (ns[-1] if open_right else ns[-1] - 1) // r + 1
             series = repeated_series(r, depth, open_right)
             brute = [repeated_count_brute(n, r, open_right) for n in ns]
-            if args.inject_fault:
+            if inject_fault:
                 brute[-1] += 1
             closed = [
                 series.coefficient((n if open_right else n - 1) // r) for n in ns
@@ -247,20 +224,17 @@ def _verify_repeated(args: argparse.Namespace) -> list[tuple]:
     return checks
 
 
-def _verify_urn(args: argparse.Namespace) -> list[tuple]:
-    n_max = args.n if args.n is not None else 6
-    if n_max < 1:
-        raise UsageError("--n must be positive")
+def _verify_urn(n_max: int, inject_fault: bool) -> list[tuple]:
     checks = []
     for start, p, q in (("x", 1, 0), ("y", 0, 1)):
         table = history_count_table(M12, p, q, n_max)
         ok = True
         detail = f"{n_max} draw lengths match"
         for n in range(1, n_max + 1):
-            words = enumerate_histories(n, start, cap=n_max)
+            words = enumerate_histories(n, start)
             counts = Counter(w.count("x") for w in words)
             expected = dict(table[n])
-            if args.inject_fault:
+            if inject_fault:
                 counts[min(counts)] += 1
             total = sum(counts.values())
             if dict(counts) != expected or total != math.factorial(n):
@@ -271,7 +245,7 @@ def _verify_urn(args: argparse.Namespace) -> list[tuple]:
     return checks
 
 
-def _verify_yule(args: argparse.Namespace) -> list[tuple]:
+def _verify_yule(_size: None, inject_fault: bool) -> list[tuple]:
     checkpoints = (0.25, 0.5, 1.0, 2.0)
     grid = yule_rk4(25000, checkpoints)
     worst = 0.0
@@ -279,7 +253,7 @@ def _verify_yule(args: argparse.Namespace) -> list[tuple]:
         cx, cy = yule_closed_form(t)
         rx, ry = grid[t]
         worst = max(worst, abs(rx - cx), abs(ry - cy))
-    if args.inject_fault:
+    if inject_fault:
         worst += 1.0
     ok = worst < 1e-9
     return [("rk4 vs closed form", ok, f"max deviation {worst:.3e}")]
@@ -306,13 +280,10 @@ def _poly_str(coeffs: Sequence[Fraction]) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def _verify_valent(args: argparse.Namespace) -> list[tuple]:
-    n_max = args.max_n if args.max_n is not None else 4
-    if n_max < 0:
-        raise UsageError("--max-n must be nonnegative")
+def _verify_valent(n_max: int, inject_fault: bool) -> list[tuple]:
     rec = valent_ops(n_max, route="recurrence")
     gf = valent_ops(n_max, route="gf")
-    if args.inject_fault:
+    if inject_fault:
         rec[-1] = list(rec[-1])
         rec[-1][0] += 1
     checks = []
@@ -325,15 +296,12 @@ def _verify_valent(args: argparse.Namespace) -> list[tuple]:
     return checks
 
 
-def _verify_width(args: argparse.Namespace) -> list[tuple]:
-    h_max = args.max_n if args.max_n is not None else 6
-    if h_max < 1:
-        raise UsageError("--max-n must be positive")
+def _verify_width(h_max: int, inject_fault: bool) -> list[tuple]:
     checks = []
     for h in range(1, h_max + 1):
         gf = snake_width_gf(h)
         den = list(gf.den)
-        if args.inject_fault:
+        if inject_fault:
             den[0] += 1
         ok = tuple(den) == tuple(meixner_denominator(h))
         detail = f"W{h} = ({_poly_str(gf.num)}) / ({_poly_str(gf.den)})"
@@ -341,12 +309,9 @@ def _verify_width(args: argparse.Namespace) -> list[tuple]:
     return checks
 
 
-def _verify_andre(args: argparse.Namespace) -> list[tuple]:
-    k_max = args.max_n if args.max_n is not None else 6
-    if k_max < 0:
-        raise UsageError("--max-n must be nonnegative")
+def _verify_andre(k_max: int, inject_fault: bool) -> list[tuple]:
     polys = andre_polynomials(k_max)
-    if args.inject_fault:
+    if inject_fault:
         polys[-1][1] = polys[-1].get(1, 0) + 1
     order = 3 * k_max + 9
     smh = dixon_series(order).smh
@@ -382,26 +347,68 @@ def _verify_andre(args: argparse.Namespace) -> list[tuple]:
     return checks
 
 
+class VerifyTarget(NamedTuple):
+    """How ``verify`` runs one target: the flag that sets its size (None
+    when it takes none), the default and the smallest size, whether the
+    size drives a brute-force sweep (and so sits under the brute-force
+    cap), and the check, called as ``check(size, inject_fault)`` and
+    returning (name, ok, detail) rows."""
+
+    flag: str | None
+    default: int | None
+    least: int | None
+    brute: bool
+    check: Callable[..., list[tuple]]
+
+
+VERIFY_TARGETS = {
+    "conrad-j": VerifyTarget("--depth", 8, 1, False, partial(_verify_conrad, "j")),
+    "conrad-s": VerifyTarget("--depth", 16, 1, False, partial(_verify_conrad, "s")),
+    "parity": VerifyTarget("--n", 8, 1, True, _verify_parity),
+    "r-repeated": VerifyTarget("--max-n", 7, 1, True, _verify_repeated),
+    "urn": VerifyTarget("--n", 6, 1, True, _verify_urn),
+    "yule": VerifyTarget(None, None, None, False, _verify_yule),
+    "valent": VerifyTarget("--max-n", 4, 0, False, _verify_valent),
+    "width": VerifyTarget("--max-n", 6, 1, False, _verify_width),
+    "andre": VerifyTarget("--max-n", 6, 0, False, _verify_andre),
+}
+# --family picks one fraction family and so belongs to the conrad targets.
+_FAMILY_TARGETS = ("conrad-j", "conrad-s")
+
+
+def _flag_value(args: argparse.Namespace, flag: str) -> object:
+    return getattr(args, flag[2:].replace("-", "_"))
+
+
+def _check_cost(flag: str, size: int) -> None:
+    """The one cost guard: a brute-force size past the cap is a usage error."""
+    cap = brute_cap()
+    if size > cap:
+        raise UsageError(
+            f"{flag} {size} exceeds the brute-force cap {cap}; "
+            f"set {BRUTE_CAP_ENV} to raise it"
+        )
+
+
 def cmd_verify(args: argparse.Namespace, config: Config) -> CommandOutput:
     target = args.target
-    if target == "conrad-j":
-        checks = _verify_conrad_target("j", args)
-    elif target == "conrad-s":
-        checks = _verify_conrad_target("s", args)
-    elif target == "parity":
-        checks = _verify_parity(args)
-    elif target == "r-repeated":
-        checks = _verify_repeated(args)
-    elif target == "urn":
-        checks = _verify_urn(args)
-    elif target == "yule":
-        checks = _verify_yule(args)
-    elif target == "valent":
-        checks = _verify_valent(args)
-    elif target == "width":
-        checks = _verify_width(args)
-    else:
-        checks = _verify_andre(args)
+    row = VERIFY_TARGETS[target]
+    takes = {row.flag, "--family" if target in _FAMILY_TARGETS else None}
+    own = f"its size flag is {row.flag}" if row.flag else "it takes no size flag"
+    for flag in ("--family", "--depth", "--n", "--max-n"):
+        if flag not in takes and _flag_value(args, flag) is not None:
+            raise UsageError(f"verify {target} does not take {flag}; {own}")
+    size = None
+    if row.flag is not None:
+        size = _flag_value(args, row.flag)
+        if size is None:
+            size = row.default
+        if size < row.least:
+            raise UsageError(f"{row.flag} must be at least {row.least}")
+        if row.brute:
+            _check_cost(row.flag, size)
+    extra = {} if args.family is None else {"family": args.family}
+    checks = row.check(size, args.inject_fault, **extra)
     ok = all(c[1] for c in checks)
     lines = [f"{name}: {detail}" for name, _, detail in checks]
     if ok:
@@ -430,6 +437,7 @@ def cmd_verify(args: argparse.Namespace, config: Config) -> CommandOutput:
 
 
 def cmd_enumerate(args: argparse.Namespace, config: Config) -> CommandOutput:
+    _check_cost("--n", args.n)
     if args.kind == "histories":
         if args.cls is not None:
             raise UsageError("--class applies to perms only")
@@ -548,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", parents=[common], help="run a dual-route theorem check"
     )
-    p_verify.add_argument("target", choices=_VERIFY_TARGETS)
+    p_verify.add_argument("target", choices=tuple(VERIFY_TARGETS))
     p_verify.add_argument("--family", default=None, help="fraction family name")
     p_verify.add_argument("--depth", type=int, default=None)
     p_verify.add_argument("--n", type=int, default=None)

@@ -31,7 +31,6 @@ from typing import Callable, Sequence
 from dixonian.core import (
     DEFAULT_ORDER,
     PowerSeries,
-    format_rational,
     series_binomial_pow,
     series_integrate,
     series_mul,
@@ -89,18 +88,6 @@ class JFraction:
     def to_series(self, order: int) -> PowerSeries:
         return jfraction_to_series(self.cs, self.as_, order)
 
-    def to_dict(self) -> dict:
-        d: dict = {
-            "c": [format_rational(Fraction(c)) for c in self.cs],
-            "a": [format_rational(Fraction(a)) for a in self.as_],
-        }
-        if self.prefactor is not None:
-            d["prefactor"] = {
-                "coeff": format_rational(self.prefactor.coeff),
-                "power": self.prefactor.power,
-            }
-        return d
-
 
 @dataclass(frozen=True)
 class SFraction:
@@ -113,15 +100,6 @@ class SFraction:
 
     def to_series(self, order: int) -> PowerSeries:
         return sfraction_to_series(self.ds, order)
-
-    def to_dict(self) -> dict:
-        d: dict = {"d": [format_rational(Fraction(x)) for x in self.ds]}
-        if self.prefactor is not None:
-            d["prefactor"] = {
-                "coeff": format_rational(self.prefactor.coeff),
-                "power": self.prefactor.power,
-            }
-        return d
 
 
 # -- closed-form coefficient tables -----------------------------------

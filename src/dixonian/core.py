@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -24,7 +24,6 @@ __all__ = [
     "series_derive",
     "delta_apply",
     "format_rational",
-    "parse_rational",
 ]
 
 #: Truncation order used when callers do not ask for anything else.  High
@@ -37,10 +36,6 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def _as_fraction(value: object) -> Fraction:
@@ -142,18 +137,6 @@ class PowerSeries:
         for c in reversed(self._coeffs):
             acc = acc * xv + c
         return acc
-
-    # -- serialization -------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "coeffs": [format_rational(c) for c in self._coeffs],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "PowerSeries":
-        return cls([parse_rational(c) for c in d["coeffs"]], int(d["order"]))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -367,9 +350,6 @@ class BivariatePoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def total_degrees(self) -> set[int]:
-        return {p + q for (p, q) in self._terms}
-
     def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
         t = dict(self._terms)
         for k, c in other._terms.items():
@@ -403,17 +383,6 @@ class BivariatePoly:
             out[p] = out.get(p, 0) + c
         return out
 
-    def to_dict(self) -> dict:
-        return {f"{p},{q}": str(c) for (p, q), c in sorted(self._terms.items())}
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, str]) -> "BivariatePoly":
-        terms: dict[tuple[int, int], int] = {}
-        for key, c in d.items():
-            p, q = key.split(",")
-            terms[(int(p), int(q))] = int(c)
-        return cls(terms)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BivariatePoly) and self._terms == other._terms
 
@@ -436,10 +405,14 @@ def delta_apply(p: BivariatePoly, rule) -> BivariatePoly:
     (the M12 urn is a = b = s = 1, i.e. delta[x] = y^2, delta[y] = x^2).  A
     negative exponent on a term with nonzero coefficient means the urn left
     its reachable state space, which is a hard error by contract.
+
+    Read on exponent pairs, this is the weighted quadrant walk with steps
+    (-a, s + a) and (s + b, -b), each weighted by the exponent it lowers;
+    the urn tables and the free-slot parity walk both run through it.
     """
     a, b, s = rule.a, rule.b, rule.s
     out: dict[tuple[int, int], int] = {}
-    for (pe, qe), c in p.terms.items():
+    for (pe, qe), c in p._terms.items():
         if pe:
             np_, nq = pe - a, qe + s + a
             if np_ < 0 or nq < 0:
@@ -464,4 +437,6 @@ def delta_apply(p: BivariatePoly, rule) -> BivariatePoly:
                 out[k] = nc
             else:
                 del out[k]
-    return BivariatePoly(out)
+    result = BivariatePoly()
+    result._terms = out
+    return result

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from dixonian.contfrac import jfraction_to_series
 from dixonian.core import PowerSeries, series_mul
-from dixonian.urn import brute_cap
+from dixonian.urn import M12, brute_cap, history_polynomials
 
 __all__ = [
     "VALLEY",
@@ -257,24 +257,16 @@ def parity_class_counts_dp(n: int) -> tuple[int, int]:
 
     Values 1..n drop into the free slots of a growing binary tree; a
     slot at even or odd depth spawns two slots of the other parity.
-    X needs every leftover slot at odd depth, Y at even depth.  The walk
-    is the sacrificial-urn walk again, so this route is independent of
+    X needs every leftover slot at odd depth, Y at even depth.  With x
+    counting even slots and y odd ones, the walk is the sacrificial urn
+    grown from one x ball, so the pair is read off delta^n[x] as the
+    coefficients of y^(n+1) and x^(n+1).  This route is independent of
     any permutation scan.
     """
     if n < 0:
         raise ValueError("negative sizes make no sense")
-    state = {(1, 0): 1}
-    for _ in range(n):
-        nxt: dict[tuple[int, int], int] = {}
-        for (e, o), c in state.items():
-            if e:
-                key = (e - 1, o + 2)
-                nxt[key] = nxt.get(key, 0) + c * e
-            if o:
-                key = (e + 2, o - 1)
-                nxt[key] = nxt.get(key, 0) + c * o
-        state = nxt
-    return state.get((0, n + 1), 0), state.get((n + 1, 0), 0)
+    slots = history_polynomials(M12, 1, 0, n)[-1]
+    return slots.coefficient(0, n + 1), slots.coefficient(n + 1, 0)
 
 
 def parity_class_members(

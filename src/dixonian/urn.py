@@ -1,12 +1,12 @@
 """Balanced two-colour urns whose histories are counted by sm and cm.
 
-A replacement rule is iterated in three interchangeable ways: as the
-differential operator from :mod:`dixonian.core` acting on monomials, as
-in-place rewriting of words over {x, y}, and as a weighted walk on the
-quadrant of ball counts.  The monochrome slices of the resulting history
-table reproduce the hyperbolic Dixonian coefficients, and a continuous
-time embedding of the same urn solves the ODE system X' = Y^2 - X,
-Y' = X^2 - Y.
+A replacement rule is iterated in two independent ways: as the
+differential operator from :mod:`dixonian.core` acting on monomials
+(which, read on exponent pairs, is the weighted walk on the quadrant of
+ball counts) and as in-place rewriting of words over {x, y}.  The
+monochrome slices of the resulting history table reproduce the
+hyperbolic Dixonian coefficients, and a continuous time embedding of the
+same urn solves the ODE system X' = Y^2 - X, Y' = X^2 - Y.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "history_count_table",
     "history_counts",
     "t23_opposite_counts",
-    "knight_walk_counts",
     "xi_series",
     "ternary_path_counts",
     "yule_rhs",
@@ -183,42 +182,7 @@ def enumerate_histories(n: int, start: str = "x", cap: int | None = None) -> lis
     return words
 
 
-# -- quadrant walks -----------------------------------------------------
-
-
-def _walk_step(
-    state: dict[tuple[int, int], int], weighted: bool
-) -> dict[tuple[int, int], int]:
-    nxt: dict[tuple[int, int], int] = {}
-    for (p, q), c in state.items():
-        if p:
-            key = (p - 1, q + 2)
-            nxt[key] = nxt.get(key, 0) + c * (p if weighted else 1)
-        if q:
-            key = (p + 2, q - 1)
-            nxt[key] = nxt.get(key, 0) + c * (q if weighted else 1)
-    return nxt
-
-
-def knight_walk_counts(
-    n: int, weighted: bool = True, start: tuple[int, int] = (1, 0)
-) -> dict[tuple[int, int], int]:
-    """Length-n walks from ``start`` with steps (-1, +2) and (+2, -1),
-    confined to the first quadrant.
-
-    Weighted by the coordinate of the drawn colour these are exactly the
-    sacrificial-urn histories in ball-count coordinates.  Unweighted,
-    each legal step counts once; note that the q >= 0 legality constraint
-    makes the unweighted axis counts fall short of the ternary-tree
-    numbers from n = 10 on (11 against 12), which is why the tree family
-    lives in :func:`xi_series` as a projection instead.
-    """
-    if n < 0:
-        raise ValueError("walk length cannot be negative")
-    state = {start: 1}
-    for _ in range(n):
-        state = _walk_step(state, weighted)
-    return state
+# -- depletion paths ---------------------------------------------------
 
 
 def xi_series(order: int) -> PowerSeries:

@@ -6,26 +6,27 @@ around: the frozen Taylor tables, the cube identity, agreement between
 independent construction routes, the nine continued-fraction families,
 the combinatorial models, and the evaluated constants with explicit
 tolerances.  Each test prints a single pass/fail line under `pytest -v`.
+
+Where a claim is also a ``dixonian verify`` target, the test runs that
+target through the CLI, so the comparison is written once and the rule
+that every target turns red under fault injection covers it too.
 """
 
 import math
-from collections import Counter
 from fractions import Fraction
 
 from mpmath import mp
 
+from dixonian.cli import main
 from dixonian.contfrac import (
-    J_FAMILIES,
     S_FAMILIES,
     contract_s_to_j,
     conrad_s_reference,
     family_ogf,
     jfraction_extract,
-    meixner_denominator,
     scd_transforms,
     snake_width_gf,
     valent_ops,
-    verify_conrad,
 )
 from dixonian.core import PowerSeries, series_derive, series_mul
 from dixonian.functions import (
@@ -39,7 +40,6 @@ from dixonian.numerics import eval_smh, pi3
 from dixonian.permutations import (
     andre_weights,
     motzkin_path_total,
-    parity_class_counts,
     parity_class_members,
     permutation_path_total,
     polarized_total,
@@ -47,7 +47,6 @@ from dixonian.permutations import (
 )
 from dixonian.urn import (
     M12,
-    enumerate_histories,
     histogram_summary,
     history_composition_residual,
     history_count_table,
@@ -89,6 +88,13 @@ VALENT_TABLE = [
 ]
 
 
+def run_verify(capsys, *argv):
+    """Run ``dixonian verify`` and require a PASS."""
+    code = main(["verify", *argv])
+    out = capsys.readouterr().out
+    assert code == 0 and out.splitlines()[-1] == "PASS", out
+
+
 def test_criterion_01_taylor_tables():
     sm_ints, cm_ints = dixon_egf_integers(13)
     assert sm_ints[1] == 1 and cm_ints[0] == 1
@@ -112,13 +118,10 @@ def test_criterion_03_hypergeometric_route_matches_ode():
     assert sm_via_hypergeometric(40) == dixon_series(40).sm
 
 
-def test_criterion_04_fraction_families():
-    for family in sorted(J_FAMILIES):
-        report = verify_conrad("j", family, 8)
-        assert report.ok, report.first_message()
+def test_criterion_04_fraction_families(capsys):
+    run_verify(capsys, "conrad-j", "--depth", "8")
+    run_verify(capsys, "conrad-s", "--depth", "16")
     for family in sorted(S_FAMILIES):
-        report = verify_conrad("s", family, 16)
-        assert report.ok, report.first_message()
         # Contracting the depth-16 S-fraction two levels at a time must
         # reproduce the J-fraction extracted from the same series.
         ccs, cas = contract_s_to_j(conrad_s_reference(family, 16).ds)
@@ -156,13 +159,8 @@ def test_criterion_06_constants():
         assert abs(ratio - p3.value / 3) < 2e-9
 
 
-def test_criterion_07_urn_histories():
-    for start, (p, q) in (("x", (1, 0)), ("y", (0, 1))):
-        table = history_count_table(M12, p, q, 8)
-        for n in range(1, 9):
-            words = enumerate_histories(n, start=start, cap=8)
-            assert len(words) == math.factorial(n)
-            assert Counter(w.count("x") for w in words) == table[n]
+def test_criterion_07_urn_histories(capsys):
+    run_verify(capsys, "urn", "--n", "8")
     table = history_count_table(M12, 1, 0, 30)
     sm_ints, cm_ints = dixon_egf_integers(30)
     for n in range(1, 31):
@@ -189,11 +187,10 @@ def test_criterion_09_composition_identity():
         assert history_composition_residual(x0, z, 40) < 1e-9, (x0, z)
 
 
-def test_criterion_10_parity_classes_exhaustive():
-    sm_ints, cm_ints = dixon_egf_integers(10)
-    for n in range(1, 11):
-        counts = parity_class_counts(n)
-        assert counts == (abs(sm_ints[n]), abs(cm_ints[n])), f"n = {n}"
+def test_criterion_10_parity_classes_exhaustive(capsys, monkeypatch):
+    # The sweep over S_10 sits one past the default brute-force cap.
+    monkeypatch.setenv("DIXONIAN_BRUTE_CAP", "10")
+    run_verify(capsys, "parity", "--n", "10")
     assert set(parity_class_members("Y", 3)) == {(2, 1, 3), (3, 1, 2)}
     assert set(parity_class_members("X", 4)) == {
         (1, 3, 2, 4),
@@ -232,21 +229,17 @@ def test_criterion_12_path_diagrams():
         assert total == abs(sm_ints[3 * nu + 1]), f"nu = {nu}"
 
 
-def test_criterion_13_width_convergents():
+def test_criterion_13_width_convergents(capsys):
     for h, (num, den) in enumerate(WIDTH_TABLE, start=1):
         gf = snake_width_gf(h)
         assert tuple(gf.num) == num, f"numerator at h = {h}"
         assert tuple(gf.den) == den, f"denominator at h = {h}"
-    for h in range(1, 7):
-        den = list(snake_width_gf(h).den)
-        while len(den) > 1 and den[-1] == 0:
-            den.pop()
-        assert tuple(den) == meixner_denominator(h), f"h = {h}"
+    run_verify(capsys, "width", "--max-n", "6")
 
 
-def test_criterion_14_valent_polynomials():
+def test_criterion_14_valent_polynomials(capsys):
+    run_verify(capsys, "valent", "--max-n", "4")
     rec = valent_ops(4, route="recurrence")
-    assert rec == valent_ops(4, route="gf")
     assert rec == VALENT_TABLE
     for n, poly in enumerate(rec):
         assert len(poly) == n + 1 and poly[-1] == 1, f"Q{n} is not monic"

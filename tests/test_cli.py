@@ -5,7 +5,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from dixonian.cli import main
+from dixonian.cli import VERIFY_TARGETS, main
 from dixonian.urn import yule_closed_form
 
 
@@ -68,45 +68,78 @@ def test_series_csv_round_trips(capsys):
 # -- verify ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("verify", "conrad-j", "--family", "sm", "--depth", "4"),
-        ("verify", "conrad-j", "--depth", "3"),
-        ("verify", "conrad-s", "--family", "cm", "--depth", "6"),
-        ("verify", "parity", "--n", "5"),
-        ("verify", "r-repeated", "--max-n", "5"),
-        ("verify", "urn", "--n", "5"),
-        ("verify", "yule"),
-        ("verify", "valent", "--max-n", "3"),
-        ("verify", "width", "--max-n", "4"),
-        ("verify", "andre", "--max-n", "3"),
-    ],
-)
+PASS_CASES = [
+    ("verify", "conrad-j", "--family", "sm", "--depth", "4"),
+    ("verify", "conrad-j", "--depth", "3"),
+    ("verify", "conrad-s", "--family", "cm", "--depth", "6"),
+    ("verify", "parity", "--n", "5"),
+    ("verify", "r-repeated", "--max-n", "5"),
+    ("verify", "urn", "--n", "5"),
+    ("verify", "yule"),
+    ("verify", "valent", "--max-n", "3"),
+    ("verify", "width", "--max-n", "4"),
+    ("verify", "andre", "--max-n", "3"),
+]
+
+FAULT_CASES = [
+    ("verify", "conrad-j", "--family", "sm", "--depth", "4"),
+    ("verify", "conrad-s", "--family", "cm", "--depth", "6"),
+    ("verify", "parity", "--n", "4"),
+    ("verify", "r-repeated", "--max-n", "4"),
+    ("verify", "urn", "--n", "4"),
+    ("verify", "yule"),
+    ("verify", "valent", "--max-n", "2"),
+    ("verify", "width", "--max-n", "3"),
+    ("verify", "andre", "--max-n", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", PASS_CASES)
 def test_verify_targets_pass(capsys, argv):
+    # A target added to the CLI table without a case here fails the suite.
+    assert {case[1] for case in PASS_CASES} == set(VERIFY_TARGETS)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.splitlines()[-1] == "PASS"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("verify", "conrad-j", "--family", "sm", "--depth", "4"),
-        ("verify", "conrad-s", "--family", "cm", "--depth", "6"),
-        ("verify", "parity", "--n", "4"),
-        ("verify", "r-repeated", "--max-n", "4"),
-        ("verify", "urn", "--n", "4"),
-        ("verify", "yule"),
-        ("verify", "valent", "--max-n", "2"),
-        ("verify", "width", "--max-n", "3"),
-        ("verify", "andre", "--max-n", "2"),
-    ],
-)
+@pytest.mark.parametrize("argv", FAULT_CASES)
 def test_injected_fault_turns_target_red(capsys, argv):
+    # Every target in the CLI table must have a fault-injection case.
+    assert {case[1] for case in FAULT_CASES} == set(VERIFY_TARGETS)
     code, out, _ = run(capsys, *argv, "--inject-fault")
     assert code == 1
     assert out.splitlines()[-1].startswith("FAIL")
+
+
+@pytest.mark.parametrize(
+    "target, flag",
+    [("parity", "--n"), ("r-repeated", "--max-n"), ("urn", "--n")],
+)
+def test_brute_force_targets_respect_cap(capsys, monkeypatch, target, flag):
+    monkeypatch.setenv("DIXONIAN_BRUTE_CAP", "3")
+    code, out, err = run(capsys, "verify", target, flag, "4")
+    assert code == 2
+    assert out == ""
+    assert "DIXONIAN_BRUTE_CAP" in err
+    code, out, _ = run(capsys, "verify", target, flag, "3")
+    assert code == 0
+    assert out.splitlines()[-1] == "PASS"
+
+
+def test_verify_rejects_flags_the_target_does_not_take(capsys):
+    code, _, err = run(capsys, "verify", "parity", "--max-n", "3")
+    assert code == 2
+    assert "--max-n" in err and "--n" in err.replace("--max-n", "")
+    code, _, err = run(capsys, "verify", "yule", "--n", "5")
+    assert code == 2
+    assert "no size flag" in err
+    code, _, err = run(capsys, "verify", "urn", "--family", "sm")
+    assert code == 2
+    assert "--family" in err and "--n" in err
+    code, _, err = run(capsys, "verify", "width", "--max-n", "0")
+    assert code == 2
+    assert "--max-n" in err
 
 
 def test_verify_valent_prints_polynomials(capsys):
@@ -150,11 +183,11 @@ def test_enumerate_histories(capsys):
 def test_enumerate_cap_exceeded_fails(capsys, monkeypatch):
     monkeypatch.setenv("DIXONIAN_BRUTE_CAP", "3")
     code, out, err = run(capsys, "enumerate", "perms", "--class", "X", "--n", "4")
-    assert code == 1
+    assert code == 2
     assert out == ""
     assert "cap" in err
     code, _, err = run(capsys, "enumerate", "histories", "--n", "4")
-    assert code == 1
+    assert code == 2
     assert "cap" in err
 
 

@@ -10,7 +10,6 @@ from dixonian.core import (
     PowerSeries,
     delta_apply,
     format_rational,
-    parse_rational,
     series_binomial_pow,
     series_compose,
     series_derive,
@@ -58,15 +57,8 @@ def test_order_and_padding():
 
 
 def test_rational_round_trip():
-    for q in [Fraction(3), Fraction(-13, 2268), Fraction(0)]:
-        assert parse_rational(format_rational(q)) == q
     assert format_rational(Fraction(5)) == "5"
     assert format_rational(Fraction(-2, 63)) == "-2/63"
-
-
-def test_serialization_round_trip():
-    f = PowerSeries([0, 1, Fraction(-1, 6)], 4)
-    assert PowerSeries.from_dict(f.to_dict()) == f
 
 
 def test_geometric_product():
@@ -227,8 +219,3 @@ def test_delta_leibniz_on_monomials(p1, q1, p2, q2):
     lhs = delta_apply(mono_mul(f, g), RULE_M12)
     rhs = mono_mul(delta_apply(f, RULE_M12), g) + mono_mul(f, delta_apply(g, RULE_M12))
     assert lhs == rhs
-
-
-def test_bivariate_serialization():
-    p = BivariatePoly({(0, 4): 1, (3, 1): 2})
-    assert BivariatePoly.from_dict(p.to_dict()) == p

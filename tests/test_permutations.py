@@ -41,7 +41,6 @@ from dixonian.permutations import (
     valley_peak_only,
     y_shape_counts,
 )
-from dixonian.urn import M12, history_counts
 
 TANGENT = [1, 2, 16, 272, 7936]  # odd sizes 1, 3, 5, 7, 9
 SECANT = [1, 1, 5, 61, 1385]  # even sizes 0, 2, 4, 6, 8
@@ -170,16 +169,6 @@ def test_sweep_dp_and_taylor_agree():
         expected = (abs(sm_ints[n]), abs(cm_ints[n]))
         assert parity_class_counts(n) == expected
         assert parity_class_counts_dp(n) == expected
-
-
-def test_dp_matches_urn_histories():
-    # the free-slot walk is the one-ball urn walk in disguise
-    for n in range(1, 13):
-        counts = history_counts(M12, 1, 0, n)
-        assert parity_class_counts_dp(n) == (
-            counts.get(0, 0),
-            counts.get(n + 1, 0),
-        )
 
 
 def test_ten_value_classes_via_dp():

@@ -23,7 +23,6 @@ from dixonian.urn import (
     history_egf_partial,
     history_polynomials,
     is_unimodal,
-    knight_walk_counts,
     t23_opposite_counts,
     ternary_path_counts,
     xi_series,
@@ -175,13 +174,7 @@ def test_t23_all_opposite_counts():
     assert counts[0] == 2
 
 
-# -- quadrant walks -----------------------------------------------------
-
-
-def test_weighted_walks_are_histories():
-    polys = history_polynomials(M12, 1, 0, 10)
-    for n in range(11):
-        assert knight_walk_counts(n, weighted=True) == polys[n].terms
+# -- depletion paths -----------------------------------------------------
 
 
 def test_depletion_paths_are_ternary_trees():
@@ -189,17 +182,6 @@ def test_depletion_paths_are_ternary_trees():
     assert counts == [1, 1, 3, 12, 55]
     for nu, c in enumerate(counts):
         assert c == math.comb(3 * nu, nu) // (2 * nu + 1)
-
-
-def test_unweighted_quadrant_walks_fall_short_of_trees():
-    # The q >= 0 legality constraint prunes one walk at n = 10, so the
-    # plain quadrant counts drop below the ternary-tree numbers there.
-    got = []
-    for nu in range(4):
-        n = 3 * nu + 1
-        state = knight_walk_counts(n, weighted=False)
-        got.append(state.get((0, n + 1), 0))
-    assert got == [1, 1, 3, 11]
 
 
 def test_xi_series_coefficients_and_cubic_equation():
