@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from mpmath import mp, mpf
 
@@ -94,7 +94,7 @@ class CommandOutput:
     exit_code: int
     lines: list[str]
     csv_header: list[str]
-    csv_rows: list[list[str]]
+    csv_rows: Iterable[Sequence[str]]
     payload: dict
 
 
@@ -437,6 +437,8 @@ def cmd_verify(args: argparse.Namespace, config: Config) -> CommandOutput:
 
 
 def cmd_enumerate(args: argparse.Namespace, config: Config) -> CommandOutput:
+    if args.n < 0:
+        raise UsageError("--n must be at least 0")
     _check_cost("--n", args.n)
     if args.kind == "histories":
         if args.cls is not None:
@@ -458,7 +460,9 @@ def cmd_enumerate(args: argparse.Namespace, config: Config) -> CommandOutput:
         "n": args.n,
         "items": payload_items,
     }
-    return CommandOutput(0, items, ["item"], [[it] for it in items], payload)
+    # lazy rows: a list of one-item lists per history costs more garbage
+    # collection than the listing itself, and text and json never read it
+    return CommandOutput(0, items, ["item"], ([it] for it in items), payload)
 
 
 # -- eval --------------------------------------------------------------------

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from dixonian.contfrac import jfraction_to_series
 from dixonian.core import PowerSeries, series_mul
-from dixonian.urn import M12, brute_cap, history_polynomials
+from dixonian.urn import BRUTE_CAP_ENV, M12, brute_cap, history_polynomials
 
 __all__ = [
     "VALLEY",
@@ -98,6 +98,83 @@ def code_by_value(perm: Sequence[int], open_right: bool = False) -> tuple[str, .
     for i, v in enumerate(perm):
         out[v - 1] = codes[i]
     return tuple(out)
+
+
+def _placements(
+    n: int,
+    keep: Callable[[int, str, int, list[str]], bool],
+    open_right: bool = False,
+    cap: int | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """The permutations of 1..n whose every value passes ``keep``.
+
+    Values 1..n land in increasing order on the fixed positions 1..n, as
+    in :func:`fv_encode`, so the positions filled when v lands at p hold
+    exactly the smaller values.  Everything about v is then final: its
+    local type follows from whether p - 1 and p + 1 are filled (the left
+    border counts as filled, the right border as filled unless
+    ``open_right``), and its parent in the increasing tree is the larger
+    of the nearest filled values on either side, the nearest-smaller rule
+    of :func:`tree_levels`.  ``keep(v, code, level, codes)``, where
+    ``codes[u - 1]`` is the type of each u < v, therefore rejects a prefix
+    the moment it fails.  Every placement is explicit and checked: no
+    counts are multiplied and no states merged, so the route stays
+    independent of the weighted path sums.
+
+    Sizes are checked before the search starts: n must be nonnegative and
+    at most ``cap`` (the brute enumeration cap when None).
+    """
+    if n < 0:
+        raise ValueError("negative sizes make no sense")
+    limit = brute_cap() if cap is None else cap
+    if n > limit:
+        raise ValueError(
+            f"enumerating n = {n} exceeds the enumeration cap {limit}; "
+            f"set {BRUTE_CAP_ENV} to raise it"
+        )
+    # word[p] is the value at position p = 1..n, 0 while empty; word[n + 1] stays 0
+    word = [0] * (n + 2)
+    level = [0] * (n + 1)
+    codes: list[str] = []
+
+    def place(v: int) -> Iterator[tuple[int, ...]]:
+        if v > n:
+            yield tuple(word[1 : n + 1])
+            return
+        a = 0
+        p = 1
+        while p <= n:
+            if word[p]:
+                a = word[p]
+                p += 1
+                continue
+            # every position of the empty run s..e has a and b (0 past a
+            # border) as its nearest filled values, so they share a parent
+            s = p
+            while p <= n and not word[p]:
+                p += 1
+            e = p - 1
+            b = word[p]
+            parent = a if a > b else b
+            lv = level[parent] + 1 if parent else 0
+            closed = e < n or not open_right
+            for q in range(s, e + 1):
+                # only the run's ends touch a filled neighbour or a border
+                left = q == s
+                right = q == e and closed
+                if left:
+                    code = PEAK if right else DOUBLE_RISE
+                else:
+                    code = DOUBLE_FALL if right else VALLEY
+                if keep(v, code, lv, codes):
+                    word[q] = v
+                    level[v] = lv
+                    codes.append(code)
+                    yield from place(v + 1)
+                    codes.pop()
+                    word[q] = 0
+
+    return place(1)
 
 
 # -- increasing binary trees ---------------------------------------------
@@ -273,20 +350,19 @@ def parity_class_members(
     which: str, n: int, cap: int | None = None
 ) -> list[tuple[int, ...]]:
     """All members of class X or Y in lexicographic order.  The brute
-    enumeration cap applies unless an explicit ``cap`` is given."""
-    slot = {"X": 0, "Y": 1}.get(which.upper())
-    if slot is None:
+    enumeration cap applies unless an explicit ``cap`` is given.
+
+    Placement prunes a prefix as soon as one value is a non-valley at a
+    forbidden level, so the cost follows the class rather than n!; the
+    exhaustive sweep is :func:`parity_class_counts`."""
+    parity = {"X": 0, "Y": 1}.get(which.upper())
+    if parity is None:
         raise ValueError("the class is X or Y")
-    limit = brute_cap() if cap is None else cap
-    if n > limit:
-        raise ValueError(
-            f"listing a class at n = {n} exceeds the enumeration cap {limit}"
-        )
-    return [
-        perm
-        for perm in itertools.permutations(range(1, n + 1))
-        if in_parity_classes(perm)[slot]
-    ]
+
+    def keep(v: int, code: str, level: int, codes: list[str]) -> bool:
+        return code == VALLEY or level % 2 == parity
+
+    return sorted(_placements(n, keep, cap=cap))
 
 
 # -- unlabeled Y shapes ---------------------------------------------------
@@ -515,13 +591,24 @@ def is_r_repeated(perm: Sequence[int], r: int, open_right: bool = False) -> bool
     return True
 
 
+def _block_keep(r: int) -> Callable[[int, str, int, list[str]], bool]:
+    """Placement rule of the r-repeated permutations: each value takes the
+    type of the first value of its block."""
+    if r < 1:
+        raise ValueError("the block width is at least one")
+
+    def keep(v: int, code: str, level: int, codes: list[str]) -> bool:
+        first = (v - 1) // r * r
+        return first == v - 1 or code == codes[first]
+
+    return keep
+
+
 def repeated_count_brute(n: int, r: int, open_right: bool = False) -> int:
-    """Number of r-repeated permutations of n by direct scan."""
-    return sum(
-        1
-        for perm in itertools.permutations(range(1, n + 1))
-        if is_r_repeated(perm, r, open_right)
-    )
+    """Number of r-repeated permutations of n, by placing values and
+    pruning each prefix whose newest value breaks its block.  The brute
+    enumeration cap applies."""
+    return sum(1 for _ in _placements(n, _block_keep(r), open_right))
 
 
 def repeated_jfraction_tables(
@@ -588,7 +675,8 @@ def markable_windows(perm: Sequence[int]) -> int:
 def polarized_total(
     n: int, open_right: bool = False, experimental: bool = False
 ) -> int:
-    """Sum of 2^(markable windows) over the 3-repeated permutations.
+    """Sum of 2^(markable windows) over the 3-repeated permutations, which
+    are placed as in :func:`repeated_count_brute` and under the same cap.
 
     With the closed border this reproduces the smh coefficients at
     n = 1, 4, 7, ...  The open-border variant is exploratory and must be
@@ -599,11 +687,10 @@ def polarized_total(
             "the open-border polarized model is exploratory; "
             "pass experimental=True to evaluate it anyway"
         )
-    total = 0
-    for perm in itertools.permutations(range(1, n + 1)):
-        if is_r_repeated(perm, 3, open_right):
-            total += 1 << markable_windows(perm)
-    return total
+    return sum(
+        1 << markable_windows(perm)
+        for perm in _placements(n, _block_keep(3), open_right)
+    )
 
 
 def polarized_c(ell: int) -> int:

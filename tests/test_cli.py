@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp, mpf
 
 from dixonian.cli import VERIFY_TARGETS, main
-from dixonian.urn import yule_closed_form
+from dixonian.urn import enumerate_histories, yule_closed_form
 
 
 def run(capsys, *argv):
@@ -189,6 +189,36 @@ def test_enumerate_cap_exceeded_fails(capsys, monkeypatch):
     code, _, err = run(capsys, "enumerate", "histories", "--n", "4")
     assert code == 2
     assert "cap" in err
+
+
+def test_enumerate_negative_size_is_usage_error(capsys):
+    for argv in (
+        ("perms", "--class", "X"),
+        ("perms", "--class", "Y"),
+        ("histories",),
+    ):
+        code, out, err = run(capsys, "enumerate", *argv, "--n", "-1")
+        assert code == 2, argv
+        assert out == ""
+        assert "--n must be at least 0" in err
+    # size zero still lists the empty permutation and the bare start word
+    assert run(capsys, "enumerate", "perms", "--class", "Y", "--n", "0")[:2] == (0, "\n")
+    assert run(capsys, "enumerate", "histories", "--n", "0")[:2] == (0, "x\n")
+
+
+def test_enumerate_histories_csv_and_json(capsys):
+    words = sorted(enumerate_histories(3))
+    code, out, _ = run(capsys, "enumerate", "histories", "--n", "3", "--format", "csv")
+    assert code == 0
+    assert out == "item\n" + "".join(w + "\n" for w in words)
+    code, out, _ = run(capsys, "enumerate", "histories", "--n", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "enumerate",
+        "kind": "histories",
+        "n": 3,
+        "items": words,
+    }
 
 
 def test_enumerate_flag_mismatches_are_usage_errors(capsys):

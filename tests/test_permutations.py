@@ -176,10 +176,52 @@ def test_ten_value_classes_via_dp():
 
 
 def test_member_listing_respects_cap(monkeypatch):
+    routes = [
+        (lambda: len(parity_class_members("X", 4)), 4),
+        (lambda: repeated_count_brute(4, 1), 24),
+        (lambda: polarized_total(4), 4),
+    ]
     monkeypatch.setenv("DIXONIAN_BRUTE_CAP", "3")
-    with pytest.raises(ValueError):
-        parity_class_members("X", 4)
+    for route, _ in routes:
+        with pytest.raises(ValueError, match="DIXONIAN_BRUTE_CAP"):
+            route()
     assert len(parity_class_members("X", 4, cap=4)) == 4
+    monkeypatch.setenv("DIXONIAN_BRUTE_CAP", "4")
+    for route, expected in routes:
+        assert route() == expected
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_placements_match_definition(n):
+    """The pruned placements against the definitions filtered over S_n."""
+    every = list(perms(n))
+    for slot, which in enumerate("XY"):
+        expected = [p for p in every if in_parity_classes(p)[slot]]
+        assert parity_class_members(which, n) == expected
+    for r in (1, 2, 3):
+        for open_right in (False, True):
+            expected = sum(1 for p in every if is_r_repeated(p, r, open_right))
+            assert repeated_count_brute(n, r, open_right) == expected
+    weighted = sum(1 << markable_windows(p) for p in every if is_r_repeated(p, 3))
+    assert polarized_total(n) == weighted
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_placement_counts_match_slot_walk(n):
+    # the third count route; n = 11 lies past criterion 10's sweep of S_10
+    counts = tuple(len(parity_class_members(c, n, cap=n)) for c in "XY")
+    assert counts == parity_class_counts_dp(n)
+
+
+def test_placement_routes_reject_negative_sizes():
+    with pytest.raises(ValueError):
+        parity_class_members("Y", -1)
+    with pytest.raises(ValueError):
+        repeated_count_brute(-1, 2)
+    with pytest.raises(ValueError):
+        polarized_total(-1)
+    assert parity_class_members("Y", 0) == [()]
+    assert repeated_count_brute(0, 2) == polarized_total(0) == 1
 
 
 # -- unlabeled shapes ------------------------------------------------------
