@@ -45,7 +45,6 @@ __all__ = [
     "J_FAMILIES",
     "S_FAMILIES",
     "family_ogf",
-    "laplace_shifted",
     "conrad_j_reference",
     "conrad_s_reference",
     "jfraction_extract",
@@ -184,17 +183,6 @@ def doubled_sequence(length: int) -> list[int]:
 
 
 # -- series construction ----------------------------------------------
-
-
-def laplace_shifted(f: PowerSeries) -> PowerSeries:
-    """Shifted Borel-Laplace transfer: [x^(m+1)] result = m! [z^m] f.
-
-    This is the index convention under which the fraction prefactors come
-    out as coeff * x^power.
-    """
-    return PowerSeries(
-        [0, *(c * math.factorial(m) for m, c in enumerate(f.coeffs))], f.order + 1
-    )
 
 
 def family_ogf(family: str, m_max: int) -> PowerSeries:

@@ -3,26 +3,25 @@
 Every routine returns a :class:`NumericValue`, a number together with a
 rigorously propagated error bound.  The period pi3 comes from an AGM and is
 checked once per process against quadrature of its defining integral.
-sm and cm are summed from their Taylor series up to pi3/6, where the
-series ratio is at most 1/2, and reflected through z -> pi3/3 - z beyond
-it.  Series evaluation keeps truncation honest by an integer ratio test on
-the exact EGF tables, and the reported bound includes both the geometric
-tail and floating-point rounding slack; a series cut short at
-``_MAX_SERIES_ORDER`` terms warns with the places it still certifies.
+sm and cm never need it: their argument is halved until the Taylor
+series converges fast, the series is summed from the exact EGF tables
+with a tail bounded by a Cauchy majorant, and Dixon's duplication
+formulas double it back, all in interval arithmetic, so the bound is the
+final interval's radius.  The domain check uses a rational bound on
+pi3/3, and no precision is out of reach.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import iv, mp, mpf
 
 from dixonian.functions import dixon_egf_integers
 
@@ -37,12 +36,6 @@ __all__ = [
     "eval_smh",
     "eval_cmh",
 ]
-
-# Growth bound for the EGF tail: |c(n+3)/c(n)| <= RHO**3 with RHO = 29/50,
-# checked exactly on integers before every use.  The true limit of the
-# ratio is (3 / pi3)**3, about 0.1814; RHO**3 = 0.195112 leaves margin.
-_RHO_NUM, _RHO_DEN = 29, 50
-_MAX_SERIES_ORDER = 1200
 
 
 @dataclass(frozen=True)
@@ -68,13 +61,27 @@ class NumericValue:
         with mp.workdps(places + max(mpmath.mag(self.value), 0) // 3 + 10):
             scaled = int(self.value * mpf(10) ** places)
         sign = "-" if scaled < 0 else ""
-        digits = str(abs(scaled)).rjust(places + 1, "0")
+        digits = _decimal(abs(scaled)).rjust(places + 1, "0")
         if places == 0:
             return sign + digits
         return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
     def __float__(self) -> float:
         return float(self.value)
+
+
+_BLOCK = 10**600
+
+
+def _decimal(n: int) -> str:
+    """str(n) for n >= 0, in blocks of 600 digits: Python refuses to turn
+    an integer longer than 4300 digits into a string, a limit a program
+    may lower to 640."""
+    blocks = []
+    while n >= _BLOCK:
+        n, low = divmod(n, _BLOCK)
+        blocks.append(f"{low:0600d}")
+    return str(n) + "".join(reversed(blocks))
 
 
 def _as_mpf(x: object) -> mpmath.mpf:
@@ -213,152 +220,130 @@ def abelian_I(y: object, dps: int = 30) -> NumericValue:
 
 # -- sm / cm evaluation ----------------------------------------------
 
-
-def _ratio_check(table: Sequence[int], lo: int, hi: int) -> None:
-    """Verify |a(n+3)| * DEN^3 <= NUM^3 (n+1)(n+2)(n+3) |a(n)| exactly."""
-    num3 = _RHO_NUM**3
-    den3 = _RHO_DEN**3
-    for n in range(lo, hi - 2):
-        an = table[n]
-        if not an:
-            continue
-        an3 = table[n + 3]
-        lhs = den3 * abs(an3)
-        rhs = num3 * (n + 1) * (n + 2) * (n + 3) * abs(an)
-        if lhs > rhs:
-            raise ArithmeticError(
-                f"EGF growth bound failed at index {n}; cannot certify the tail"
-            )
+# A rational upper bound on pi3/3, above it by less than 1e-50; the tests
+# pin it against pi3 and the Gamma form.  The domain check needs nothing
+# more of pi3, so evaluation never computes it.
+_THIRD_PERIOD = Fraction("1.76663875028544995731368949964843870257186853820256")
 
 
-def _eval_direct(kind: str, z: mpmath.mpf, digits: int) -> NumericValue:
-    """Direct series sum for 0 <= z <= (pi3/3) / 2, with certified tail.
+def _exact(x: object) -> Fraction:
+    """x as an exact rational: floats and mpf values are dyadic."""
+    if isinstance(x, (float, mpmath.mpf)) and not mpmath.isfinite(x):
+        raise ValueError(f"cannot evaluate at {x}")
+    if isinstance(x, mpmath.mpf):
+        return Fraction(*mpmath.libmp.to_rational(x._mpf_))
+    if isinstance(x, (Fraction, int, float, str)):
+        return Fraction(x)
+    raise TypeError(f"cannot interpret {x!r} as a real number")
 
-    There the ratio z / (pi3/3) is at most 1/2, so about 3.3 terms per
-    digit suffice.  The sum stays valid further out, but its term count
-    grows without bound as z nears pi3/3, so callers reflect instead.
+
+def _taylor(table: Sequence[int], start: int, w3, top: int):
+    """Interval sum of table[n] w3^((n - start)/3) / n! over n = start mod 3
+    up to top, by Horner's rule; start is 0 or 1, so start! = 1."""
+    n = start + 3 * ((top - start) // 3)
+    acc = iv.mpf(table[n])
+    while n > start:
+        n -= 3
+        acc = acc * w3 / ((n + 1) * (n + 2) * (n + 3)) + table[n]
+    return acc
+
+
+def _halve_and_double(z: Fraction, k: int, prec: int):
+    """Intervals around (sm(z), cm(z)) from the series at w = z / 2^k and
+    k doublings, all in interval arithmetic at prec bits.
+
+    The system sm' = cm^2, cm' = -sm^2 is dominated coefficientwise by
+    Y' = Y^2, Y(0) = 1, that is Y = 1/(1 - z) (Cauchy's majorant method),
+    so |[z^n] sm| and |[z^n] cm| are at most 1 and the tail after index N
+    is at most |w|^(N+1) / (1 - |w|).  Dixon's duplication formulas, from
+    his addition theorem (Quart. J. Pure Appl. Math. 24, 1890),
+
+        sm 2u = sm u (1 + cm^3 u) / (cm u (1 + sm^3 u)),
+        cm 2u = (cm^3 u - sm^3 u) / (cm u (1 + sm^3 u)),
+
+    then carry w back to z.  Their common denominator is positive for
+    u in (-pi3/6, pi3/3), so an interval that is not shows z at or past
+    the pole at -pi3/3.
     """
-    base = 1 if kind == "sm" else 0
-    if z == 0:
-        return NumericValue(value=mpf(base == 0), error_bound=mpf(0))
-    prec = digits + 15
-    with mp.workdps(prec):
-        a_third = pi3(prec).value / 3
-        ratio = z / a_third
-        need = ((digits + 8) * math.log(10) + 5) / -math.log(float(ratio))
-        M = base + 3 * math.ceil((max(36, int(need) + 12) - base) / 3)
-        clamped = M > _MAX_SERIES_ORDER
-        M = min(M, _MAX_SERIES_ORDER)
-        tables = dixon_egf_integers(M + 30)
-        table = tables[0] if kind == "sm" else tables[1]
-        _ratio_check(table, 30, M + 30)
-
-        total = mpf(0)
-        abs_total = mpf(0)
-        last_term = mpf(0)
-        power = z**base
-        z3 = z**3
-        fact = math.factorial(base)
-        n = base
-        terms = 0
-        while n <= M:
-            if table[n]:
-                t = mpf(table[n]) / mpf(fact) * power
-                total += t
-                abs_total += abs(t)
-                last_term = t
-                terms += 1
-            power *= z3
-            fact *= (n + 1) * (n + 2) * (n + 3)
-            n += 3
-        q = (mpf(_RHO_NUM) / _RHO_DEN * z) ** 3
-        if q >= 1:
-            raise AssertionError("direct evaluation called outside its region")
-        tail = abs(last_term) * q / (1 - q)
-        rounding = 10 * (terms + 2) * abs_total * mpf(10) ** (-prec)
-        result = NumericValue(value=+total, error_bound=+(tail + rounding))
-    if clamped:
-        warnings.warn(
-            f"{kind} series cut at _MAX_SERIES_ORDER = {_MAX_SERIES_ORDER} terms; "
-            f"only {result.decimal_places()} places remain certified",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return result
+    saved = iv.prec
+    iv.prec = prec
+    try:
+        num, den = z.numerator, z.denominator << k
+        # -log2 |w| exceeds e, so N terms leave a tail below 2^-(prec + 1).
+        e = den.bit_length() - 1 - abs(num).bit_length()
+        top = (prec + 2) // e + 1
+        sm_table, cm_table = dixon_egf_integers(top)
+        w = iv.mpf(num) / den
+        w3 = w**3
+        r = (abs(w) ** (top + 1) / (1 - abs(w))).b
+        tail = iv.mpf([-r, r])
+        s = w * _taylor(sm_table, 1, w3, top) + tail
+        c = _taylor(cm_table, 0, w3, top) + tail
+        for _ in range(k):
+            s3, c3 = s**3, c**3
+            d = c * (1 + s3)
+            if not d > 0:
+                raise ValueError("argument too close to the pole at -pi3/3")
+            s, c = s * (1 + c3) / d, (c3 - s3) / d
+        return s, c
+    finally:
+        iv.prec = saved
 
 
-def _eval_nonneg(kind: str, z: mpmath.mpf, digits: int) -> NumericValue:
-    """Evaluate sm or cm on [0, pi3/3] with the reflection hand-off."""
-    prec = digits + 15
-    with mp.workdps(prec):
-        p = pi3(prec)
-        a_third = p.value / 3
-        a_err = p.error_bound / 3 + mpf(10) ** (-prec + 1)
-        if z > a_third * (1 + mpf(10) ** (-prec + 2)):
-            raise ValueError("argument exceeds the first zero pi3/3")
-        if z <= a_third / 2:
-            return _eval_direct(kind, z, digits)
-        # sm and cm trade places under z -> pi3/3 - z; both have unit
-        # Lipschitz constant on the interval, so the uncertainty in the
-        # reflection point adds straight onto the bound.
-        w = a_third - z
-        if w < 0:
-            w = mpf(0)
-        other = "cm" if kind == "sm" else "sm"
-        inner = _eval_direct(other, w, digits)
-        return NumericValue(
-            value=inner.value, error_bound=+(inner.error_bound + a_err)
-        )
+def _numeric(x) -> NumericValue:
+    """The midpoint and radius of an interval, both exact."""
+    lo, hi = (mp.make_mpf(end) for end in x._mpi_)
+    return NumericValue(value=mp.ldexp(mp.fadd(lo, hi, exact=True), -1),
+                        error_bound=mp.ldexp(mp.fsub(hi, lo, exact=True), -1))
 
 
-def _eval_signed(kind: str, z: object, digits: int) -> NumericValue:
-    prec = digits + 15
-    with mp.workdps(prec):
-        zv = _as_mpf(z)
-    if zv >= 0:
-        return _eval_nonneg(kind, zv, digits)
-    with mp.workdps(prec):
-        v = -zv
-        p = _eval_nonneg("sm", v, digits + 3)
-        q = _eval_nonneg("cm", v, digits + 3)
-        denom = abs(q.value) - q.error_bound
-        if denom <= 0:
-            raise ValueError("argument too close to the pole at -pi3/3")
-        if kind == "sm":
-            # sm(-v) = -sm(v)/cm(v)
-            val = -p.value / q.value
-            bound = (p.error_bound + abs(val) * q.error_bound) / denom
-        else:
-            # cm(-v) = 1/cm(v)
-            val = 1 / q.value
-            bound = q.error_bound / (denom * abs(q.value))
-        # Both quotients are rounded once, and both move by at most
-        # 1/cm(v)^2 per unit of v, which was rounded when it was read in.
-        ulp = mpf(2) ** (1 - mp.prec)
-        bound += abs(val) * ulp + abs(v) * ulp / denom**2
-        return NumericValue(value=+val, error_bound=+bound)
+def _sm_cm(z: object, digits: int) -> tuple[NumericValue, NumericValue]:
+    """sm(z) and cm(z), with bounds aimed at 10^-(digits + 3).
+
+    The argument is halved k times, with k about half the square root of
+    the precision in bits, which balances the series' length against the
+    doublings; each doubling costs about two bits of interval width.
+    Near the pole the values, and with them the widths, grow, and a
+    second pass adds the bits the first one fell short by.  sm and cm are
+    analytic across their zero pi3/3, so that end of the domain admits an
+    argument rounded from pi3/3 at the caller's precision; the pole end
+    does not.
+    """
+    z = _exact(z)
+    if z > _THIRD_PERIOD + Fraction(1, 10 ** (digits + 3)):
+        raise ValueError("argument exceeds the first zero pi3/3")
+    if z < -_THIRD_PERIOD:
+        raise ValueError("argument lies past the pole at -pi3/3")
+    target = math.ceil((digits + 3) * math.log2(10))
+    m = max(4, math.isqrt(target) // 2)
+    k = max(0, m + abs(z.numerator).bit_length() - z.denominator.bit_length() + 1)
+    prec = target + 3 * k + 20
+    for _ in range(2):
+        s, c = map(_numeric, _halve_and_double(z, k, prec))
+        widest = max(s.error_bound, c.error_bound)
+        if widest <= mp.ldexp(1, -target):
+            break
+        prec += int(mpmath.log(widest, 2)) + target + 12
+    return s, c
 
 
 def eval_sm(z: object, digits: int = 30) -> NumericValue:
     """sm(z) for real z in (-pi3/3, pi3/3]; poles bound the domain below."""
-    return _eval_signed("sm", z, digits)
+    return _sm_cm(z, digits)[0]
 
 
 def eval_cm(z: object, digits: int = 30) -> NumericValue:
     """cm(z) for real z in (-pi3/3, pi3/3]."""
-    return _eval_signed("cm", z, digits)
+    return _sm_cm(z, digits)[1]
 
 
 def eval_smh(z: object, digits: int = 30) -> NumericValue:
     """smh(z) = -sm(-z) for real z in [-pi3/3, pi3/3); pole at pi3/3."""
-    with mp.workdps(digits + 15):
-        zv = -_as_mpf(z)
-        inner = _eval_signed("sm", zv, digits)
-        return NumericValue(value=-inner.value, error_bound=inner.error_bound)
+    inner = _sm_cm(-_exact(z), digits)[0]
+    # Negated exactly: a plain minus would round to the caller's precision.
+    return NumericValue(value=mp.fneg(inner.value, exact=True), error_bound=inner.error_bound)
 
 
 def eval_cmh(z: object, digits: int = 30) -> NumericValue:
     """cmh(z) = cm(-z) for real z in [-pi3/3, pi3/3)."""
-    with mp.workdps(digits + 15):
-        zv = -_as_mpf(z)
-    return _eval_signed("cm", zv, digits)
+    return _sm_cm(-_exact(z), digits)[1]

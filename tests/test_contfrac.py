@@ -20,7 +20,6 @@ from dixonian.contfrac import (
     family_ogf,
     jfraction_extract,
     jfraction_to_series,
-    laplace_shifted,
     meixner_denominator,
     scd_transforms,
     sfraction_extract,
@@ -31,6 +30,18 @@ from dixonian.contfrac import (
 )
 from dixonian.core import PowerSeries, series_mul
 from dixonian.functions import dixon_series
+
+
+def laplace_shifted(f: PowerSeries) -> PowerSeries:
+    """Shifted Borel-Laplace transfer: [x^(m+1)] result = m! [z^m] f.
+
+    This is the index convention under which the fraction prefactors come
+    out as coeff * x^power; the library reads the same integers straight
+    off its EGF tables.
+    """
+    return PowerSeries(
+        [0, *(c * math.factorial(m) for m, c in enumerate(f.coeffs))], f.order + 1
+    )
 
 # -- reference extractions on classical series -------------------------
 

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 import dixonian
-from dixonian.contfrac import laplace_shifted
 from dixonian.core import PowerSeries, series_derive, series_integrate, series_mul
 from dixonian.functions import (
     dixon_egf_integers,
@@ -20,6 +19,7 @@ from dixonian.functions import (
     weierstrass_P,
     weierstrass_P_via_hypergeometric,
 )
+from test_contfrac import laplace_shifted
 
 # Frozen reference values.  Derived once from the defining system by hand
 # (coefficient recurrence on paper) before any code existed, then locked.

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import warnings
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +10,7 @@ from mpmath import mp, mpf
 import dixonian
 from dixonian import numerics
 from dixonian.cli import main
+from dixonian.functions import dixon_egf_integers
 from dixonian.numerics import (
     NumericValue,
     abelian_I,
@@ -129,34 +129,48 @@ def test_cubic_identity_on_grid():
             assert gap <= allowance, f"identity failed at grid point {i}"
 
 
-def test_direct_matches_reflected():
-    # Past the pi3/6 hand-off eval_sm(z) itself reflects to cm(a - z), so
-    # the sm series is summed directly here: the sm series at z and the cm
-    # series at a - z must meet, which checks the reflection identity
-    # rather than the implementation against itself.
-    a = third_zero()
-    with mp.workdps(30):
-        for frac in ("0.6", "0.7", "0.8"):
-            z = a * mpf(frac)
-            s = numerics._eval_direct("sm", z, 10)
-            c = eval_cm(a - z, digits=10)
-            assert abs(s.value - c.value) <= s.error_bound + c.error_bound + mpf("1e-12")
+def taylor_sum(table, z: Fraction, top: int) -> Fraction:
+    """The plain Taylor sum of table[n] z^n / n! up to n = top, in exact rationals."""
+    total, fact = Fraction(0), 1
+    for n in range(top + 1):
+        if n:
+            fact *= n
+        if table[n]:
+            total += Fraction(table[n], fact) * z**n
+    return total
 
 
-def test_series_clamp_warns(monkeypatch):
-    # 30 digits at z = 0.8 need about 120 terms; a cap of 60 cuts the sum
-    # short, which must weaken the bound and say so.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        full = eval_sm(mpf("0.8"), digits=30)
-    monkeypatch.setattr(numerics, "_MAX_SERIES_ORDER", 60)
-    with pytest.warns(RuntimeWarning, match="_MAX_SERIES_ORDER = 60") as record:
-        cut = eval_sm(mpf("0.8"), digits=30)
-    places = cut.decimal_places()
-    assert places < 30
-    assert f"only {places} places remain certified" in str(record[0].message)
-    with mp.workdps(50):
-        assert abs(cut.value - full.value) <= cut.error_bound + full.error_bound
+def test_taylor_sum_matches_halving():
+    # Two routes to sm and cm far from the origin (0.6 pi3/3 is about
+    # 1.06): the Taylor series summed at z itself, with no halving and no
+    # doubling, and the library's series at z / 2^k doubled back by Dixon's
+    # formulas.  The terms fall like (z / (pi3/3))^n, so summing until that
+    # ratio's power is below 1e-15 leaves a tail far below the 1e-10 asked
+    # of the comparison.
+    for z in (Fraction(106, 100), Fraction(5, 4), Fraction(3, 2), Fraction(17, 10),
+              Fraction(-3, 2), Fraction(-17, 10)):
+        with mp.workdps(30):
+            ratio = abs(mpf(z.numerator) / z.denominator) / third_zero()
+            top = int(15 * mpmath.log(10) / -mpmath.log(ratio)) + 3
+        sm_table, cm_table = dixon_egf_integers(top)
+        for fn, table in ((eval_sm, sm_table), (eval_cm, cm_table)):
+            v = fn(z, 20)
+            plain = taylor_sum(table, z, top)
+            with mp.workdps(40):
+                gap = abs(v.value - mpf(plain.numerator) / plain.denominator)
+                assert gap <= v.error_bound + mpf("1e-10"), f"{fn.__name__}({z}): routes disagree"
+
+
+def test_tail_majorant_premise():
+    # The tail bound |w|^(N+1) / (1 - |w|) rests on |[z^n] sm| <= 1 and
+    # |[z^n] cm| <= 1, which the majorant Y' = Y^2, Y(0) = 1 promises;
+    # checked exactly on the integer tables n! [z^n].
+    sm_table, cm_table = dixon_egf_integers(600)
+    fact = 1
+    for n in range(601):
+        if n:
+            fact *= n
+        assert abs(sm_table[n]) <= fact and abs(cm_table[n]) <= fact, f"index {n}"
 
 
 def test_hyperbolic_identities_numeric():
@@ -179,12 +193,26 @@ def test_domain_errors():
         eval_cm(-(float(a) + 0.01))
 
 
+def test_pole_is_found_by_the_doubling():
+    # U lies past smh's pole at pi3/3 by less than 1e-50, and U - 1e-45
+    # lies before it by about 1e-45: the range check admits both, and the
+    # doubling's denominator interval must then reach or cross zero.
+    U = numerics._THIRD_PERIOD
+    for z in (U, U - Fraction(1, 10**45)):
+        with pytest.raises(ValueError, match="too close to the pole"):
+            eval_smh(z, 20)
+    far = eval_smh(U - Fraction(1, 10**30), 20)
+    assert far.value > 10**29 and far.decimal_places() >= 20
+
+
 def test_numeric_value_clamps_rendering():
     v = NumericValue(value=mpf("1.23456"), error_bound=mpf("0.001"))
     assert v.decimal_places() == 2
     assert v.to_string(5) == "1.23"
     exact = NumericValue(value=mpf(3), error_bound=mpf(0))
     assert exact.to_string(2) == "3.00"
+    # Past the 4300 digits Python will turn into a string in one piece.
+    assert NumericValue(mpf(-1.25), mpf(0)).to_string(6000) == "-1.25" + "0" * 5998
 
 
 def smh_by_inversion(x: Fraction, guess: str) -> mpmath.mpf:
@@ -202,15 +230,14 @@ def smh_by_inversion(x: Fraction, guess: str) -> mpmath.mpf:
 
 
 def test_smh_against_hypergeometric_inversion():
-    v = eval_smh(Fraction(1, 2), 100)
-    with mp.workdps(140):
-        assert abs(v.value - smh_by_inversion(Fraction(1, 2), "0.51")) <= v.error_bound
+    for digits in (100, 1000):
+        v = eval_smh(Fraction(1, 2), digits)
+        with mp.workdps(digits + 40):
+            assert abs(v.value - smh_by_inversion(Fraction(1, 2), "0.51")) <= v.error_bound
 
 
 def test_cli_smh_prints_every_place_it_is_asked_for(capsys):
-    # smh(3/2) = sm(3/2) / cm(3/2), both reflected through pi3/3 - 3/2;
-    # with the hand-off at pi3/6 no series meets the term cap, so all 100
-    # places are certified.
+    # smh(3/2) sits on the pole side, 0.27 from the pole at pi3/3.
     assert main(["eval", "smh", "3/2", "--digits", "100"]) == 0
     value, claim = capsys.readouterr().out.splitlines()
     assert claim == "error < 2e-100"
@@ -220,17 +247,51 @@ def test_cli_smh_prints_every_place_it_is_asked_for(capsys):
         assert abs(mpf(value) - ref) < mpf("2e-100")
 
 
+@pytest.mark.parametrize("arg, digits", [("0.88", 400), ("1/2", 2000), ("1/2", 5000)])
+def test_cli_smh_has_no_term_cap(capsys, arg, digits):
+    # No term cap: near pi3/6 and at thousands of digits every place asked
+    # for is printed, with nothing on stderr.
+    assert main(["eval", "smh", arg, "--digits", str(digits)]) == 0
+    out, err = capsys.readouterr()
+    value, claim = out.splitlines()
+    assert err == ""
+    assert claim == f"error < 2e-{digits}"
+    assert len(value.split(".")[1]) == digits
+    # The first 400 places against the 2F1 inversion.
+    with mp.workdps(440):
+        ref = smh_by_inversion(Fraction(arg), value[:10])
+        assert abs(mpf(value[:402]) - ref) < 2 * mpf(10) ** -400
+
+
 @pytest.mark.parametrize("fn", [eval_smh, eval_cmh], ids=["smh", "cmh"])
 def test_bounds_are_honest_on_grid(fn):
-    # On both sides of the pi3/6 ~ 0.883 hand-off (which k = 44 and k = 45
-    # straddle) and up to the pole, the 30-digit value must lie within its
-    # bound of a 80-digit one.
+    # Up to both ends of the domain, the pole at pi3/3 included, the
+    # 30-digit value must lie within its bound of an 80-digit one, and the
+    # 80-digit value within its bound of a 1000-digit one.
     for k in range(-88, 89):
         z = Fraction(k, 50)
         lo, hi = fn(z, 30), fn(z, 80)
         with mp.workdps(120):
             gap = abs(lo.value - hi.value)
             assert gap <= lo.error_bound + hi.error_bound, f"bound broken at z = {z}"
+    for k in (-85, -68, -51, -34, -17, 17, 34, 51, 68, 85):
+        z = Fraction(k, 50)
+        lo, hi = fn(z, 80), fn(z, 1000)
+        with mp.workdps(1040):
+            gap = abs(lo.value - hi.value)
+            assert gap <= lo.error_bound + hi.error_bound, f"bound broken at z = {z}, 1000 digits"
+
+
+def test_third_period_bound_is_tight():
+    # The domain check reads a rational U with pi3/3 <= U <= pi3/3 + 1e-50,
+    # pinned here against the AGM pi3 and the Gamma form.
+    U = numerics._THIRD_PERIOD
+    p = pi3(60)
+    with mp.workdps(90):
+        u = mpf(U.numerator) / U.denominator
+        gamma_third = mpmath.gamma(mpf(1) / 3) ** 3 * mpmath.sqrt(3) / (2 * mp.pi) / 3
+        for third, err in ((p.value / 3, p.error_bound / 3), (gamma_third, mpf("1e-80"))):
+            assert third + err <= u <= third - err + mpf("1e-50")
 
 
 _PI3_THREADS = """
@@ -272,6 +333,18 @@ def test_pi3_check_holds_under_threads():
     # A corrupted closed form must be caught by every thread that asks for
     # pi3 while the one-time quadrature check is still running.
     assert run_fresh(_PI3_THREADS) == ["raised"] * 4
+
+
+def test_evaluation_never_computes_pi3():
+    # sm and cm check their domain against a rational bound, so neither
+    # they nor the Yule closed form run the one-time quadrature check.
+    code = (
+        "from fractions import Fraction as F\n"
+        "import dixonian.numerics as n, dixonian.urn as u\n"
+        "n.eval_smh(F(1, 2)); n.eval_cmh(F(17, 10)); u.yule_closed_form(1.0)\n"
+        "print(n._pi3_checked); n.pi3(30); print(n._pi3_checked)"
+    )
+    assert run_fresh(code) == ["False", "True"]
 
 
 def test_pi3_check_passes_at_low_precision():
