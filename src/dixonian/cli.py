@@ -209,7 +209,11 @@ def _verify_repeated(n_max: int, inject_fault: bool) -> list[tuple]:
                 continue
             depth = (ns[-1] if open_right else ns[-1] - 1) // r + 1
             series = repeated_series(r, depth, open_right)
-            brute = [repeated_count_brute(n, r, open_right) for n in ns]
+            # every permutation is 1-repeated, so the r = 1 count is n!
+            brute = [
+                math.factorial(n) if r == 1 else repeated_count_brute(n, r, open_right)
+                for n in ns
+            ]
             if inject_fault:
                 brute[-1] += 1
             closed = [

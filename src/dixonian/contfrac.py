@@ -3,9 +3,11 @@
 Six ordinary generating functions built from sm and cm by the shifted
 Borel-Laplace transfer admit J-fractions (and three of them S-fractions)
 whose coefficients are explicit polynomial products of consecutive
-integers.  This module builds the generating functions exactly, extracts
-fraction coefficients by peeling, carries the closed-form tables, and
-folds convergents into exact rational functions.
+integers.  This module builds the generating functions exactly, reads
+J-fraction coefficients off their moments by the Chebyshev algorithm
+(S-fractions through the contraction), expands fractions back as
+weighted Motzkin path sums, carries the closed-form tables, and folds
+convergents into exact rational functions.
 
 Conventions, fixed once and used everywhere:
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from dixonian.core import (
     DEFAULT_ORDER,
@@ -76,29 +78,13 @@ class Monomial:
 
 @dataclass(frozen=True)
 class JFraction:
-    prefactor: Monomial | None
     cs: tuple[Fraction, ...]
     as_: tuple[Fraction, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.cs)
-
-    def to_series(self, order: int) -> PowerSeries:
-        return jfraction_to_series(self.cs, self.as_, order)
 
 
 @dataclass(frozen=True)
 class SFraction:
-    prefactor: Monomial | None
     ds: tuple[Fraction, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.ds)
-
-    def to_series(self, order: int) -> PowerSeries:
-        return sfraction_to_series(self.ds, order)
 
 
 # -- closed-form coefficient tables -----------------------------------
@@ -204,12 +190,49 @@ def family_ogf(family: str, m_max: int) -> PowerSeries:
 # -- extraction and rebuilding -----------------------------------------
 
 
-def jfraction_extract(series: PowerSeries, depth: int) -> JFraction:
-    """Peel c0..c(depth-1) and a1..a(depth-1) off a series with G(0) = 1.
+def _chebyshev(moments: Sequence[Fraction], top: int) -> Iterator[Fraction]:
+    """Yield c0, a1, c1, a2, ... of the J-fraction of sum moments[n] w^n.
 
-    Each level inverts the current tail, reads c off the linear term, and
-    divides the remainder by a w^2 to expose the next tail.  A vanishing
-    a(n) means the fraction terminates; extraction stops there.
+    Gautschi's Chebyshev algorithm on the mixed moments
+    s(k, l) = L(p_k w^l) of the monic orthogonal polynomials
+    p_(k+1) = (w - c_k) p_k - a_k p_(k-1):
+
+        s(k, l) = s(k-1, l+1) - c(k-1) s(k-1, l) - a(k-1) s(k-2, l),
+        c(k) = s(k, k+1)/s(k, k) - s(k-1, k)/s(k-1, k-1),
+        a(k) = s(k, k)/s(k-1, k-1).
+
+    The j-th value yielded is the first one that needs moments[j], so
+    moments[0..top] give at most top values.  A vanishing a(n) means the
+    fraction terminates: it is not yielded, and nothing after it.
+    """
+    prev: list[Fraction] = [Fraction(0)] * (top + 1)
+    row = list(moments[: top + 1])
+    a = Fraction(0)
+    shift = Fraction(0)  # s(k-1, k)/s(k-1, k-1)
+    k = 0
+    while 2 * k + 1 <= top:
+        c = row[k + 1] / row[k] - shift
+        yield c
+        if 2 * k + 2 > top:
+            return
+        nxt = [Fraction(0)] * (k + 1) + [
+            row[l + 1] - c * row[l] - a * prev[l] for l in range(k + 1, top - k)
+        ]
+        a = nxt[k + 1] / row[k]
+        if a == 0:
+            return
+        yield a
+        shift = row[k + 1] / row[k]
+        prev, row = row, nxt
+        k += 1
+
+
+def jfraction_extract(series: PowerSeries, depth: int) -> JFraction:
+    """Read c0..c(depth-1) and a1..a(depth-1) off a series with G(0) = 1.
+
+    The coefficients come from the Chebyshev algorithm on the moments
+    (the series coefficients), in O(depth^2) exact operations.  A
+    vanishing a(n) means the fraction terminates; extraction stops there.
     """
     if series.coefficient(0) != 1:
         raise ValueError("J-fraction extraction requires a series starting at 1")
@@ -218,63 +241,67 @@ def jfraction_extract(series: PowerSeries, depth: int) -> JFraction:
             f"depth {depth} needs {2 * depth + 1} coefficients, "
             f"got {series.order + 1}"
         )
-    cs: list[Fraction] = []
-    as_: list[Fraction] = []
-    f = series
-    for level in range(depth):
-        h = PowerSeries.one(f.order) / f
-        c = -h.coefficient(1)
-        cs.append(c)
-        if level == depth - 1:
-            break
-        r = PowerSeries.one(f.order) - PowerSeries.monomial(c, 1, f.order) - h
-        if r.coefficient(0) != 0 or r.coefficient(1) != 0:
-            raise AssertionError("peeling produced a remainder of wrong valuation")
-        a = r.coefficient(2)
-        if a == 0:
-            break
-        as_.append(a)
-        f = PowerSeries(r.coeffs[2:], f.order - 2) / a
-    return JFraction(prefactor=None, cs=tuple(cs), as_=tuple(as_))
+    values = list(_chebyshev(series.coeffs, 2 * depth - 1))
+    return JFraction(cs=tuple(values[0::2]), as_=tuple(values[1::2]))
 
 
 def sfraction_extract(series: PowerSeries, depth: int) -> SFraction:
-    """Peel d1..d(depth) off a series with G(0) = 1, plus convention."""
+    """Read d1..d(depth) off a series with G(0) = 1, plus convention.
+
+    The J pass on the same moments is unzipped through the contraction:
+    d1 = -c0, d(2n) = a(n)/d(2n-1), d(2n+1) = -c(n) - d(2n).  Since d(m)
+    needs the moments up to m only, the J pass reads moments 0..depth.
+    Extraction stops at the first vanishing d(k).
+    """
     if series.coefficient(0) != 1:
         raise ValueError("S-fraction extraction requires a series starting at 1")
     if series.order < depth:
         raise ValueError(f"depth {depth} needs {depth + 1} coefficients")
     ds: list[Fraction] = []
-    g = series
-    for _ in range(depth):
-        h = PowerSeries.one(g.order) / g
-        d = h.coefficient(1)
+    for j, value in enumerate(_chebyshev(series.coeffs, depth)):
+        if j == 0:
+            d = -value
+        elif j % 2:
+            d = value / ds[-1]
+        else:
+            d = -value - ds[-1]
         if d == 0:
             break
         ds.append(d)
-        g = PowerSeries((h - PowerSeries.one(h.order)).coeffs[1:], h.order - 1) / d
-    return SFraction(prefactor=None, ds=tuple(ds))
+    return SFraction(ds=tuple(ds))
 
 
 def jfraction_to_series(
     cs: Sequence[Fraction | int], as_: Sequence[Fraction | int], order: int
 ) -> PowerSeries:
-    """Expand a J-fraction to a series; exact to order 2*len(cs)-1 at least."""
-    tail = PowerSeries.one(order)
-    k = len(cs)
-    for i in range(k - 1, -1, -1):
-        body = PowerSeries.one(order) - PowerSeries.monomial(Fraction(cs[i]), 1, order)
-        if i < len(as_):
-            body = body - PowerSeries.monomial(Fraction(as_[i]), 2, order) * tail
-        tail = PowerSeries.one(order) / body
-    return tail
+    """Expand a J-fraction as a sum over weighted Motzkin paths.
+
+    By Flajolet's path theorem [w^n] is the total weight of the paths of
+    length n from altitude 0 back to 0: a level step at altitude l weighs
+    c(l), and an up step from l, paired with its down step, weighs
+    a(l+1).  The levels stop at the first missing coefficient; an as_ as
+    long as cs adds one more level with c = 0.
+    """
+    levels = list(cs[: len(as_) + 1])
+    if len(as_) >= len(cs):
+        levels.append(0)
+    height = len(levels) - 1
+    ups = as_[:height]
+    walk: list[Fraction | int] = [1] + [0] * (height + 1)  # a zero guard on top
+    out = [walk[0]]
+    for _ in range(order):
+        walk[: height + 1] = [
+            levels[l] * walk[l] + walk[l + 1] + (ups[l - 1] * walk[l - 1] if l else 0)
+            for l in range(height + 1)
+        ]
+        out.append(walk[0])
+    return PowerSeries(out, order)
 
 
 def sfraction_to_series(ds: Sequence[Fraction | int], order: int) -> PowerSeries:
-    g = PowerSeries.one(order)
-    for d in reversed(list(ds)):
-        g = PowerSeries.one(order) + PowerSeries.monomial(Fraction(d), 1, order) / g
-    return PowerSeries.one(order) / g
+    """Expand an S-fraction through its contraction; the appended zero
+    makes the contraction exact for a finite fraction."""
+    return jfraction_to_series(*contract_s_to_j([*ds, 0]), order)
 
 
 def contract_s_to_j(ds: Sequence[Fraction | int]) -> tuple[list[Fraction], list[Fraction]]:
@@ -297,17 +324,15 @@ def contract_s_to_j(ds: Sequence[Fraction | int]) -> tuple[list[Fraction], list[
 
 
 def conrad_j_reference(family: str, max_n: int) -> JFraction:
-    pre, a_fn, b_fn = J_FAMILIES[family]
+    _, a_fn, b_fn = J_FAMILIES[family]
     cs = tuple(Fraction(-b_fn(n)) for n in range(max_n + 1))
     as_ = tuple(Fraction(a_fn(n)) for n in range(1, max_n + 1))
-    return JFraction(prefactor=pre, cs=cs, as_=as_)
+    return JFraction(cs=cs, as_=as_)
 
 
 def conrad_s_reference(family: str, max_k: int) -> SFraction:
-    pre, d_fn = S_FAMILIES[family]
-    return SFraction(
-        prefactor=pre, ds=tuple(Fraction(d_fn(k)) for k in range(1, max_k + 1))
-    )
+    _, d_fn = S_FAMILIES[family]
+    return SFraction(ds=tuple(Fraction(d_fn(k)) for k in range(1, max_k + 1)))
 
 
 @dataclass
@@ -336,54 +361,25 @@ def verify_conrad(
     ``inject_fault`` corrupts one extracted value first, to prove the
     comparison actually bites.
     """
-    mismatches: list[dict] = []
     if kind == "j":
         ref = conrad_j_reference(family, max_n)
-        series = family_ogf(family, 2 * (max_n + 1))
-        got = jfraction_extract(series, max_n + 1)
-        got_cs = list(got.cs)
-        got_as = list(got.as_)
-        if inject_fault and got_cs:
-            got_cs[-1] += 1
-        for n in range(max_n + 1):
-            if got_cs[n] != ref.cs[n]:
-                mismatches.append(
-                    {
-                        "slot": "c",
-                        "index": n,
-                        "expected": str(ref.cs[n]),
-                        "got": str(got_cs[n]),
-                    }
-                )
-        for n in range(1, max_n + 1):
-            if got_as[n - 1] != ref.as_[n - 1]:
-                mismatches.append(
-                    {
-                        "slot": "a",
-                        "index": n,
-                        "expected": str(ref.as_[n - 1]),
-                        "got": str(got_as[n - 1]),
-                    }
-                )
+        got = jfraction_extract(family_ogf(family, 2 * (max_n + 1)), max_n + 1)
+        # (slot, index of the first entry, expected, extracted)
+        slots = [("c", 0, ref.cs, list(got.cs)), ("a", 1, ref.as_, list(got.as_))]
     elif kind == "s":
-        ref = conrad_s_reference(family, max_n)
-        series = family_ogf(family, max_n + 1)
-        got_s = sfraction_extract(series, max_n)
-        got_ds = list(got_s.ds)
-        if inject_fault and got_ds:
-            got_ds[-1] += 1
-        for k in range(1, max_n + 1):
-            if got_ds[k - 1] != ref.ds[k - 1]:
-                mismatches.append(
-                    {
-                        "slot": "d",
-                        "index": k,
-                        "expected": str(ref.ds[k - 1]),
-                        "got": str(got_ds[k - 1]),
-                    }
-                )
+        ds = sfraction_extract(family_ogf(family, max_n + 1), max_n).ds
+        slots = [("d", 1, conrad_s_reference(family, max_n).ds, list(ds))]
     else:
         raise ValueError(f"unknown fraction kind {kind!r}")
+    faulted = slots[0][3]
+    if inject_fault and faulted:
+        faulted[-1] += 1
+    mismatches = [
+        {"slot": slot, "index": first + i, "expected": str(want), "got": str(have[i])}
+        for slot, first, wanted, have in slots
+        for i, want in enumerate(wanted)
+        if have[i] != want
+    ]
     return VerifyReport(
         ok=not mismatches,
         kind=kind,

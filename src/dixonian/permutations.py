@@ -524,25 +524,15 @@ def motzkin_path_total(
 ) -> int:
     """Total weight of nonnegative lattice paths of the given length
     from altitude 0 back to 0.  Each step is weighted by its starting
-    altitude: alpha up, beta down, gamma level."""
+    altitude: alpha up, beta down, gamma level.  This is [w^length] of
+    the J-fraction with c(l) = gamma(l) and a(l+1) = alpha(l) beta(l+1),
+    which :func:`jfraction_to_series` expands as this very path sum."""
     if length < 0:
         raise ValueError("paths have nonnegative length")
-    state = {0: 1}
-    for _ in range(length):
-        nxt: dict[int, int] = {}
-        for lvl, c in state.items():
-            up = c * alpha(lvl)
-            if up:
-                nxt[lvl + 1] = nxt.get(lvl + 1, 0) + up
-            if lvl:
-                down = c * beta(lvl)
-                if down:
-                    nxt[lvl - 1] = nxt.get(lvl - 1, 0) + down
-            flat = c * gamma(lvl)
-            if flat:
-                nxt[lvl] = nxt.get(lvl, 0) + flat
-        state = nxt
-    return state.get(0, 0)
+    height = length // 2
+    cs = [gamma(lvl) for lvl in range(height + 1)]
+    as_ = [alpha(lvl) * beta(lvl + 1) for lvl in range(height)]
+    return int(jfraction_to_series(cs, as_, length).coefficient(length))
 
 
 def permutation_path_total(
@@ -649,9 +639,7 @@ def repeated_series(r: int, depth: int, open_right: bool = False) -> PowerSeries
     """Expansion of the closed-form fraction, exact to order depth - 1
     in w."""
     cs, as_ = repeated_jfraction_tables(r, depth, open_right)
-    order = depth - 1
-    # the expander needs room for its w^2 blocks at shallow depths
-    return jfraction_to_series(cs, as_, max(order, 2)).truncate(order)
+    return jfraction_to_series(cs, as_, depth - 1)
 
 
 # -- polarized three-blocks ----------------------------------------------

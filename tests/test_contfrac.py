@@ -10,7 +10,9 @@ from dixonian.contfrac import (
     J_WINDOW_OFFSET,
     S_FAMILIES,
     S_TRIPLE_OFFSET,
+    JFraction,
     RationalFunction,
+    SFraction,
     contract_s_to_j,
     conrad_j_reference,
     conrad_s_reference,
@@ -42,6 +44,67 @@ def laplace_shifted(f: PowerSeries) -> PowerSeries:
     return PowerSeries(
         [0, *(c * math.factorial(m) for m, c in enumerate(f.coeffs))], f.order + 1
     )
+
+
+# -- oracles: peeling and nested division -------------------------------
+# The library reads coefficients off the moments by the Chebyshev
+# algorithm and expands fractions as weighted Motzkin path sums.  These
+# are the textbook series routes, kept as references at small depth.
+
+
+def peel_jfraction(series: PowerSeries, depth: int) -> JFraction:
+    """Invert the current tail, read c off the linear term, and divide
+    the remainder by a w^2 to expose the next tail; stop at a(n) = 0."""
+    cs: list[Fraction] = []
+    as_: list[Fraction] = []
+    f = series
+    for level in range(depth):
+        h = PowerSeries.one(f.order) / f
+        c = -h.coefficient(1)
+        cs.append(c)
+        if level == depth - 1:
+            break
+        r = PowerSeries.one(f.order) - PowerSeries.monomial(c, 1, f.order) - h
+        assert r.coefficient(0) == 0 and r.coefficient(1) == 0
+        a = r.coefficient(2)
+        if a == 0:
+            break
+        as_.append(a)
+        f = PowerSeries(r.coeffs[2:], f.order - 2) / a
+    return JFraction(cs=tuple(cs), as_=tuple(as_))
+
+
+def peel_sfraction(series: PowerSeries, depth: int) -> SFraction:
+    """Peel d1..d(depth) off a series, plus convention; stop at d = 0."""
+    ds: list[Fraction] = []
+    g = series
+    for _ in range(depth):
+        h = PowerSeries.one(g.order) / g
+        d = h.coefficient(1)
+        if d == 0:
+            break
+        ds.append(d)
+        g = PowerSeries((h - PowerSeries.one(h.order)).coeffs[1:], h.order - 1) / d
+    return SFraction(ds=tuple(ds))
+
+
+def nested_jfraction_series(cs, as_, order: int) -> PowerSeries:
+    """Expand a J-fraction by series division from the deepest level up."""
+    tail = PowerSeries.one(order)
+    for i in range(len(cs) - 1, -1, -1):
+        body = PowerSeries.one(order) - PowerSeries.monomial(Fraction(cs[i]), 1, order)
+        if i < len(as_):
+            body = body - PowerSeries.monomial(Fraction(as_[i]), 2, order) * tail
+        tail = PowerSeries.one(order) / body
+    return tail
+
+
+def nested_sfraction_series(ds, order: int) -> PowerSeries:
+    g = PowerSeries.one(order)
+    for d in reversed(list(ds)):
+        g = PowerSeries.one(order) + PowerSeries.monomial(Fraction(d), 1, order) / g
+    return PowerSeries.one(order) / g
+
 
 # -- reference extractions on classical series -------------------------
 
@@ -82,6 +145,27 @@ def test_secant_series_sfraction_and_contraction():
     assert as_[0] == 4
 
 
+def test_geometric_series_terminates():
+    # 1/(1 - w) has c0 = 1 and a1 = 0; 1/(1 + w) has d1 = 1 and d2 = 0.
+    ones = PowerSeries([1] * 9, 8)
+    assert jfraction_extract(ones, 4) == JFraction(cs=(1,), as_=())
+    assert peel_jfraction(ones, 4) == JFraction(cs=(1,), as_=())
+    alternating = PowerSeries([(-1) ** n for n in range(9)], 8)
+    assert sfraction_extract(alternating, 8) == SFraction(ds=(1,))
+    assert peel_sfraction(alternating, 8) == SFraction(ds=(1,))
+
+
+def test_extraction_rejects_bad_series():
+    with pytest.raises(ValueError, match="^J-fraction extraction requires a series starting at 1$"):
+        jfraction_extract(PowerSeries([2, 1, 1], 2), 1)
+    with pytest.raises(ValueError, match="^depth 2 needs 5 coefficients, got 3$"):
+        jfraction_extract(PowerSeries([1, 1, 1], 2), 2)
+    with pytest.raises(ValueError, match="^S-fraction extraction requires a series starting at 1$"):
+        sfraction_extract(PowerSeries([0, 1], 1), 1)
+    with pytest.raises(ValueError, match="^depth 3 needs 4 coefficients$"):
+        sfraction_extract(PowerSeries([1, 1, 1], 2), 3)
+
+
 # -- the six J-families and three S-families ---------------------------
 
 
@@ -94,6 +178,32 @@ def test_j_family_tables(family):
 @pytest.mark.parametrize("family", sorted(S_FAMILIES))
 def test_s_family_tables(family):
     report = verify_conrad("s", family, 16)
+    assert report.ok, report.first_message()
+
+
+@pytest.mark.parametrize("family", sorted(J_FAMILIES))
+def test_j_extraction_matches_peeling(family):
+    for depth in range(1, 13):
+        series = family_ogf(family, 2 * depth)
+        assert jfraction_extract(series, depth) == peel_jfraction(series, depth)
+
+
+@pytest.mark.parametrize("family", sorted(S_FAMILIES))
+def test_s_extraction_matches_peeling(family):
+    for depth in range(1, 25):
+        series = family_ogf(family, depth)
+        assert sfraction_extract(series, depth) == peel_sfraction(series, depth)
+
+
+@pytest.mark.parametrize("family", sorted(J_FAMILIES))
+def test_j_family_tables_deep(family):
+    report = verify_conrad("j", family, 60)
+    assert report.ok, report.first_message()
+
+
+@pytest.mark.parametrize("family", sorted(S_FAMILIES))
+def test_s_family_tables_deep(family):
+    report = verify_conrad("s", family, 120)
     assert report.ok, report.first_message()
 
 
@@ -170,26 +280,53 @@ def test_jfraction_roundtrip(cs, data):
     as_ = data.draw(
         st.lists(small_nonzero, min_size=len(cs) - 1, max_size=len(cs) - 1)
     )
-    series = jfraction_to_series(cs, as_, 2 * len(cs) + 2)
+    order = 2 * len(cs) + 2
+    series = jfraction_to_series(cs, as_, order)
+    assert series == nested_jfraction_series(cs, as_, order)
     j = jfraction_extract(series, len(cs))
     assert list(j.cs) == cs
     assert list(j.as_) == as_
+    assert j == peel_jfraction(series, len(cs))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(small_nonzero, min_size=1, max_size=6))
 def test_sfraction_roundtrip(ds):
-    series = sfraction_to_series(ds, len(ds) + 2)
+    order = len(ds) + 2
+    series = sfraction_to_series(ds, order)
+    assert series == nested_sfraction_series(ds, order)
     s = sfraction_extract(series, len(ds))
     assert list(s.ds) == ds
+    assert s == peel_sfraction(series, len(ds))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(-6, 6), min_size=0, max_size=4),
+    st.lists(st.integers(-6, 6), min_size=0, max_size=5),
+    st.integers(2, 10),
+)
+def test_jfraction_to_series_matches_nested_division(cs, as_, order):
+    # Any lengths: as_ as long as cs adds a level with c = 0, a shorter
+    # as_ cuts the fraction at the first missing a(n).  The oracle needs
+    # order >= 2 for its w^2 monomials.
+    assert jfraction_to_series(cs, as_, order) == nested_jfraction_series(cs, as_, order)
+
+
+def test_jfraction_to_series_extra_level():
+    cs, as_ = [3, -1, 2], [2, 5, 4]
+    assert jfraction_to_series(cs, as_, 12) == nested_jfraction_series(cs, as_, 12)
+    assert jfraction_to_series(cs, as_, 12) == jfraction_to_series([*cs, 0], as_, 12)
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(small_nonzero, min_size=2, max_size=6))
+@given(st.lists(st.integers(-6, 6), min_size=0, max_size=6))
 def test_contraction_matches_series(ds):
-    # The contracted J-fraction must expand to the same series.
+    # The contracted J-fraction expands to the S-fraction's series, as
+    # nested division computes it; with a zero appended it is exact.
     order = len(ds) + 2
-    s_series = sfraction_to_series(ds, order)
+    s_series = nested_sfraction_series(ds, order)
+    assert sfraction_to_series(ds, order) == s_series
     cs, as_ = contract_s_to_j(ds)
     j_series = jfraction_to_series(cs, as_, order)
     k = min(2 * len(cs) - 1, order, len(ds))

@@ -377,6 +377,15 @@ def test_every_permutation_is_one_repeated():
         assert opened.coefficient(nu) == math.factorial(nu)
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_repeated_series_at_shallow_depths(r):
+    # Depth 1 and 2 give series of order 0 and 1, shorter than a w^2 term.
+    assert repeated_series(r, 1).coeffs == (1,)
+    assert repeated_series(r, 1, open_right=True).coeffs == (1,)
+    assert repeated_series(r, 2).coeffs == (1, 2)
+    assert repeated_series(r, 2, open_right=True).coeffs == (1, 1)
+
+
 def test_two_repeated_counts_match_fraction():
     closed = repeated_series(2, 4)
     for nu, n in enumerate((1, 3, 5, 7)):
