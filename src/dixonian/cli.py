@@ -209,21 +209,22 @@ def _verify_repeated(n_max: int, inject_fault: bool) -> list[tuple]:
                 continue
             depth = (ns[-1] if open_right else ns[-1] - 1) // r + 1
             series = repeated_series(r, depth, open_right)
-            # every permutation is 1-repeated, so the r = 1 count is n!
-            brute = [
+            # every permutation is 1-repeated, so the r = 1 rows compare
+            # with n! and enumerate nothing (a mismatch still reads "brute")
+            counts = [
                 math.factorial(n) if r == 1 else repeated_count_brute(n, r, open_right)
                 for n in ns
             ]
             if inject_fault:
-                brute[-1] += 1
+                counts[-1] += 1
             closed = [
                 series.coefficient((n if open_right else n - 1) // r) for n in ns
             ]
-            ok = brute == closed
+            ok = counts == closed
             if ok:
-                detail = "counts " + ", ".join(str(b) for b in brute)
+                detail = "counts " + ", ".join(str(b) for b in counts)
             else:
-                detail = f"brute {brute} vs fraction {closed}"
+                detail = f"brute {counts} vs fraction {closed}"
             checks.append((f"r={r} {border}", ok, detail))
     return checks
 

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dixonian.contfrac import (
@@ -306,17 +306,12 @@ def test_sfraction_roundtrip(ds):
     st.lists(st.integers(-6, 6), min_size=0, max_size=5),
     st.integers(2, 10),
 )
+@example([3, -1, 2], [2, 5, 4], 12)
 def test_jfraction_to_series_matches_nested_division(cs, as_, order):
     # Any lengths: as_ as long as cs adds a level with c = 0, a shorter
     # as_ cuts the fraction at the first missing a(n).  The oracle needs
     # order >= 2 for its w^2 monomials.
     assert jfraction_to_series(cs, as_, order) == nested_jfraction_series(cs, as_, order)
-
-
-def test_jfraction_to_series_extra_level():
-    cs, as_ = [3, -1, 2], [2, 5, 4]
-    assert jfraction_to_series(cs, as_, 12) == nested_jfraction_series(cs, as_, 12)
-    assert jfraction_to_series(cs, as_, 12) == jfraction_to_series([*cs, 0], as_, 12)
 
 
 @settings(max_examples=30, deadline=None)
