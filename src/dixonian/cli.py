@@ -10,9 +10,7 @@ be diffed or piped into external plotting.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import os
 import sys
@@ -21,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
-
-from mpmath import mp, mpf
 
 from dixonian.contfrac import (
     J_FAMILIES,
@@ -481,6 +477,8 @@ def _parse_argument(raw: str) -> Fraction:
 
 
 def _yule_value(expr: str, t: Fraction, digits: int) -> NumericValue:
+    from mpmath import mp, mpf
+
     if t < 0:
         raise ValueError("the embedding runs forward in time")
     with mp.workdps(digits + 15):
@@ -596,11 +594,15 @@ def render(out: CommandOutput, fmt: str) -> str:
     if fmt == "text":
         return "\n".join(out.lines) + "\n" if out.lines else ""
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(out.csv_header)
         writer.writerows(out.csv_rows)
         return buf.getvalue()
+    import json
+
     return json.dumps(out.payload, indent=2) + "\n"
 
 

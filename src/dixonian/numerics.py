@@ -9,6 +9,9 @@ with a tail bounded by a Cauchy majorant, and Dixon's duplication
 formulas double it back, all in interval arithmetic, so the bound is the
 final interval's radius.  The domain check uses a rational bound on
 pi3/3, and no precision is out of reach.
+
+Each routine imports mpmath where it runs, so the exact parts of the
+package, which import this module, start without loading it.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
-
-import mpmath
-from mpmath import iv, mp, mpf
+from typing import TYPE_CHECKING, Sequence
 
 from dixonian.functions import dixon_egf_integers
+
+if TYPE_CHECKING:
+    import mpmath
 
 __all__ = [
     "NumericValue",
@@ -49,12 +52,17 @@ class NumericValue:
         """Largest d such that rounding to d places is justified."""
         if self.error_bound <= 0:
             return 10**6
+        import mpmath
+
         d = int(mpmath.floor(-mpmath.log10(2 * self.error_bound)))
         return max(d, 0)
 
     def to_string(self, places: int) -> str:
         """Fixed-point rendering, truncated toward zero and clamped to the
         justified precision."""
+        import mpmath
+        from mpmath import mp, mpf
+
         places = min(places, self.decimal_places())
         # Every digit of the integer part and of the places must survive
         # the scaling, whatever the caller's working precision.
@@ -85,6 +93,9 @@ def _decimal(n: int) -> str:
 
 
 def _as_mpf(x: object) -> mpmath.mpf:
+    import mpmath
+    from mpmath import mpf
+
     if isinstance(x, Fraction):
         return mpf(x.numerator) / x.denominator
     if isinstance(x, (int, float, mpmath.mpf)):
@@ -107,6 +118,8 @@ def tanh_sinh_quad(f, a: object, b: object, dps: int = 30) -> NumericValue:
     strong as (b - x)^(-2/3) leaves a dropped tail of order eps_work^(1/3),
     which the tripling pushes below the requested accuracy.
     """
+    from mpmath import mp, mpf
+
     with mp.workdps(3 * dps + 20):
         A, B = _as_mpf(a), _as_mpf(b)
         c1, c2 = (A + B) / 2, (B - A) / 2
@@ -158,6 +171,8 @@ _pi3_checked = False
 
 def _pi3_agm(dps: int) -> mpmath.mpf:
     """pi3 = 2^(1/3) 3^(1/4) pi / AGM(1, (sqrt 6 + sqrt 2)/4) to dps + 10 digits."""
+    from mpmath import mp
+
     with mp.workdps(dps + 10):
         k_prime = (mp.sqrt(6) + mp.sqrt(2)) / 4
         return mp.cbrt(2) * mp.root(3, 4) * mp.pi / mp.agm(1, k_prime)
@@ -173,6 +188,8 @@ def pi3(dps: int = 30) -> NumericValue:
     cross-checked once per process against tanh-sinh quadrature of the
     defining integral; a disagreement beyond the bounds raises.
     """
+    from mpmath import mp, mpf
+
     global _pi3_checked
     with mp.workdps(dps + 10):
         closed = _pi3_agm(dps)
@@ -200,6 +217,8 @@ def pi3(dps: int = 30) -> NumericValue:
 
 def zeta0(dps: int = 30) -> NumericValue:
     """The real period 2 pi3 / 3 of the degenerate cubic pencil."""
+    from mpmath import mp
+
     p = pi3(dps)
     with mp.workdps(dps + 10):
         return NumericValue(value=p.value * 2 / 3, error_bound=p.error_bound)
@@ -207,6 +226,8 @@ def zeta0(dps: int = 30) -> NumericValue:
 
 def abelian_I(y: object, dps: int = 30) -> NumericValue:
     """The incomplete integral of (1 + w^3)^(-2/3) from 0 to y, for y >= 0."""
+    from mpmath import mp, mpf
+
     with mp.workdps(dps + 10):
         yv = _as_mpf(y)
         if yv < 0:
@@ -228,6 +249,8 @@ _THIRD_PERIOD = Fraction("1.76663875028544995731368949964843870257186853820256")
 
 def _exact(x: object) -> Fraction:
     """x as an exact rational: floats and mpf values are dyadic."""
+    import mpmath
+
     if isinstance(x, (float, mpmath.mpf)) and not mpmath.isfinite(x):
         raise ValueError(f"cannot evaluate at {x}")
     if isinstance(x, mpmath.mpf):
@@ -240,6 +263,8 @@ def _exact(x: object) -> Fraction:
 def _taylor(table: Sequence[int], start: int, w3, top: int):
     """Interval sum of table[n] w3^((n - start)/3) / n! over n = start mod 3
     up to top, by Horner's rule; start is 0 or 1, so start! = 1."""
+    from mpmath import iv
+
     n = start + 3 * ((top - start) // 3)
     acc = iv.mpf(table[n])
     while n > start:
@@ -265,6 +290,8 @@ def _halve_and_double(z: Fraction, k: int, prec: int):
     u in (-pi3/6, pi3/3), so an interval that is not shows z at or past
     the pole at -pi3/3.
     """
+    from mpmath import iv
+
     saved = iv.prec
     iv.prec = prec
     try:
@@ -292,6 +319,8 @@ def _halve_and_double(z: Fraction, k: int, prec: int):
 
 def _numeric(x) -> NumericValue:
     """The midpoint and radius of an interval, both exact."""
+    from mpmath import mp
+
     lo, hi = (mp.make_mpf(end) for end in x._mpi_)
     return NumericValue(value=mp.ldexp(mp.fadd(lo, hi, exact=True), -1),
                         error_bound=mp.ldexp(mp.fsub(hi, lo, exact=True), -1))
@@ -309,6 +338,9 @@ def _sm_cm(z: object, digits: int) -> tuple[NumericValue, NumericValue]:
     argument rounded from pi3/3 at the caller's precision; the pole end
     does not.
     """
+    import mpmath
+    from mpmath import mp
+
     z = _exact(z)
     if z > _THIRD_PERIOD + Fraction(1, 10 ** (digits + 3)):
         raise ValueError("argument exceeds the first zero pi3/3")
@@ -339,6 +371,8 @@ def eval_cm(z: object, digits: int = 30) -> NumericValue:
 
 def eval_smh(z: object, digits: int = 30) -> NumericValue:
     """smh(z) = -sm(-z) for real z in [-pi3/3, pi3/3); pole at pi3/3."""
+    from mpmath import mp
+
     inner = _sm_cm(-_exact(z), digits)[0]
     # Negated exactly: a plain minus would round to the caller's precision.
     return NumericValue(value=mp.fneg(inner.value, exact=True), error_bound=inner.error_bound)

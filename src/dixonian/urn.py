@@ -17,8 +17,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpf
-
 from dixonian.core import BivariatePoly, PowerSeries, delta_apply
 from dixonian.numerics import abelian_I, eval_cmh, eval_smh
 
@@ -261,6 +259,8 @@ def yule_rk4(
 
 def yule_closed_form(t: float, dps: int = 25) -> tuple[float, float]:
     """X(t) = e^-t smh(1 - e^-t) and Y(t) = e^-t cmh(1 - e^-t)."""
+    from mpmath import mp, mpf
+
     if t < 0:
         raise ValueError("the embedding runs forward in time")
     with mp.workdps(dps + 10):
@@ -308,6 +308,8 @@ def history_composition_residual(
     associated ODE system pins Delta, and the shift places the initial
     condition X(0) = x0.
     """
+    from mpmath import mp, mpf
+
     x0f, zf = Fraction(x0), Fraction(z)
     if not 0 <= x0f < 1:
         raise ValueError("x0 must sit in [0, 1) for the real closed form")

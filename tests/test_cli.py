@@ -343,3 +343,36 @@ def test_eval_pi3_prints_every_digit_it_claims(capsys):
     assert len(value.split(".")[1]) == 60
     with mp.workdps(100):
         assert abs(mpf(value) - mpmath.beta(mpf(1) / 3, mpf(1) / 3)) < mpf("2e-60")
+
+
+_LOADED_AFTER = """
+import contextlib, io, sys
+before = set(sys.modules)
+from dixonian.cli import main
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    print(",".join(sorted({{"mpmath", "json", "csv"}} & (set(sys.modules) - before))) or "-")
+"""
+
+
+def _loaded_after(*commands: str) -> str:
+    """Code that runs each command through main in one process and prints,
+    after each, which of mpmath, json and csv the process has loaded."""
+    return _LOADED_AFTER.format(commands=[c.split() for c in commands])
+
+
+def test_exact_subcommands_never_load_mpmath(run_fresh):
+    # Tables, fraction and combinatorial checks and listings are exact:
+    # they pay for neither the float library nor the other output formats.
+    exact = (
+        "series sm --order 5",
+        "verify conrad-j --depth 3",
+        "verify parity --n 4",
+        "verify andre --max-n 3",
+        "enumerate perms --n 3 --class X",
+    )
+    assert run_fresh(_loaded_after(*exact, "eval smh 1/2")) == ["-"] * 5 + ["mpmath"]
+    assert run_fresh(_loaded_after("verify yule")) == ["mpmath"]
+    assert run_fresh(_loaded_after("series sm --order 3 --format json")) == ["json"]
+    assert run_fresh(_loaded_after("series sm --order 3 --format csv")) == ["csv"]

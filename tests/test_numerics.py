@@ -1,13 +1,9 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mp, mpf
 
-import dixonian
 from dixonian import numerics
 from dixonian.cli import main
 from dixonian.functions import dixon_egf_integers
@@ -319,23 +315,13 @@ print(" ".join(outcomes))
 """
 
 
-def run_fresh(code: str) -> list[str]:
-    """The words a fresh interpreter prints, so the one-time pi3 check runs."""
-    src = os.path.dirname(os.path.dirname(dixonian.__file__))
-    return subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
-        timeout=120,
-    ).stdout.split()
-
-
-def test_pi3_check_holds_under_threads():
+def test_pi3_check_holds_under_threads(run_fresh):
     # A corrupted closed form must be caught by every thread that asks for
     # pi3 while the one-time quadrature check is still running.
     assert run_fresh(_PI3_THREADS) == ["raised"] * 4
 
 
-def test_evaluation_never_computes_pi3():
+def test_evaluation_never_computes_pi3(run_fresh):
     # sm and cm check their domain against a rational bound, so neither
     # they nor the Yule closed form run the one-time quadrature check.
     code = (
@@ -347,7 +333,7 @@ def test_evaluation_never_computes_pi3():
     assert run_fresh(code) == ["False", "True"]
 
 
-def test_pi3_check_passes_at_low_precision():
+def test_pi3_check_passes_at_low_precision(run_fresh):
     # The first pi3 of a process may ask for fewer digits than the
     # quadrature check carries; the check must not mistake that for a fault.
     assert run_fresh("import dixonian.numerics as n; print(n.pi3(5).to_string(5))") == ["5.29991"]

@@ -1,9 +1,16 @@
-"""The benchmark's tracer wraps package functions by name, so a rename in
-the package must fail here, and not only in a traced benchmark run."""
+"""The benchmark's tracer wraps package functions by name, in the modules
+`import dixonian.cli` has loaded, so a rename in the package, or an import
+moved out of that path, must fail here, and not only in a traced
+benchmark run."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import dixonian
 from dixonian.core import PowerSeries
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -32,3 +39,31 @@ def test_tracer_level_attributes_exist():
     for (module, name), attr in _tracer_namespace()["_LEVELS"].items():
         result = getattr(importlib.import_module(f"dixonian.{module}"), name)(series, 2)
         assert len(getattr(result, attr)) == 2, (name, attr)
+
+
+LAUNCH = TRACER.with_name("launch.py")
+SRC = str(Path(dixonian.__file__).resolve().parents[1])
+
+
+def test_cli_import_loads_every_traced_module(run_fresh):
+    # install() looks each wrapped module up in sys.modules right after
+    # `import dixonian.cli`, so that import must load all of them.
+    loaded = run_fresh(
+        "import sys, dixonian.cli\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('dixonian.')))"
+    )
+    assert set(loaded) >= {f"dixonian.{m}" for m in _tracer_namespace()["MODULES"]}
+
+
+def test_traced_launch_writes_spans(tmp_path):
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=SRC, PERFBENCH_SPANS=str(spans))
+    done = subprocess.run(
+        [sys.executable, "-B", str(LAUNCH), "series", "sm", "--order", "10"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "10, -20800/10!, -20800"
+    doc = json.loads(spans.read_text(encoding="utf-8"))
+    assert doc["import_s"] > 0
+    assert {(s[1], s[2]) for s in doc["spans"]} >= {("cli", "main"), ("functions", "dixon_egf_integers")}
