@@ -232,8 +232,9 @@ def _verify_urn(n_max: int, inject_fault: bool) -> list[tuple]:
         ok = True
         detail = f"{n_max} draw lengths match"
         for n in range(1, n_max + 1):
-            words = enumerate_histories(n, start)
-            counts = Counter(w.count("x") for w in words)
+            counts: Counter[int] = Counter()
+            for w, mult in enumerate_histories(n, start).items():
+                counts[w.count("x")] += mult
             expected = dict(table[n])
             if inject_fault:
                 counts[min(counts)] += 1
@@ -445,7 +446,8 @@ def cmd_enumerate(args: argparse.Namespace, config: Config) -> CommandOutput:
         if args.cls is not None:
             raise UsageError("--class applies to perms only")
         start = args.start or "x"
-        items = sorted(enumerate_histories(args.n, start))
+        histories = enumerate_histories(args.n, start)
+        items = [w for w in sorted(histories) for _ in range(histories[w])]
         payload_items: list = items
     else:
         if args.start is not None:

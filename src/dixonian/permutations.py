@@ -265,68 +265,64 @@ def in_parity_classes(perm: Sequence[int]) -> tuple[bool, bool]:
     return in_x, in_y
 
 
+def _reversal_half(n: int) -> Iterator[tuple[int, ...]]:
+    """One permutation of each reversal pair of S_n, as inverse
+    permutations: entry v - 1 is the position 1..n of value v.
+
+    Reversal sends position p to n + 1 - p, which reverses the
+    lexicographic order of these tuples, so the first n!/2 of them are
+    exactly the ones whose first value off the middle sits left of it.
+    Once n >= 2 no permutation is its own reversal; S_1 is walked whole.
+    """
+    inverses = itertools.permutations(range(1, n + 1))
+    return itertools.islice(inverses, math.factorial(n) // 2 if n > 1 else 1)
+
+
 def parity_class_counts(n: int) -> tuple[int, int]:
     """(|X_n|, |Y_n|) by one exhaustive sweep of S_n.
 
-    Both memberships fall out of a shared pass per permutation: nearest
-    smaller values give each node its parent and hence its level, the
-    interior-valley test marks the doubled nodes, and the first
+    Each permutation is read through its inverse, placing the values in
+    increasing order on the positions 1..n of a bitmask whose two border
+    bits stay set.  When v lands at p, the nearest filled bits on either
+    side hold v's two nearest smaller values (or a border), the larger
+    one is v's parent and fixes its level, and v is an interior valley
+    exactly when both neighbouring bits are still empty.  The first
     non-doubled node at an odd (even) level kills X (Y).  Reversal
-    preserves both classes and pairs every permutation with a distinct
-    partner once n >= 2, so only half of S_n is walked.
+    preserves both classes, so only :func:`_reversal_half` is walked and
+    counted twice; every permutation in it is classified on its own.
     """
     if n < 1:
         raise ValueError("the sweep needs at least one value")
-    x_total = 0
-    y_total = 0
-    last = n - 1
     weight = 2 if n > 1 else 1
-    level = [0] * (n + 1)
-    lsv = [0] * n
-    rsv = [0] * n
-    pos = [0] * (n + 1)
-    for perm in itertools.permutations(range(1, n + 1)):
-        if perm[0] > perm[last]:
-            continue
-        stack: list[int] = []
-        for i in range(n):
-            v = perm[i]
-            while stack and stack[-1] > v:
-                stack.pop()
-            lsv[i] = stack[-1] if stack else 0
-            stack.append(v)
-            pos[v] = i
-        stack = []
-        for i in range(last, -1, -1):
-            v = perm[i]
-            while stack and stack[-1] > v:
-                stack.pop()
-            rsv[i] = stack[-1] if stack else 0
-            stack.append(v)
-        in_x = True
-        in_y = True
-        for v in range(1, n + 1):
-            i = pos[v]
-            a = lsv[i]
-            b = rsv[i]
-            parent = a if a > b else b
-            lv = level[parent] + 1 if parent else 0
+    # at[b] is the value on bit b; the border bits 0 and n + 1 read as 0,
+    # whose level -1 puts the root at level 0
+    at = [0] * (n + 2)
+    level = [-1] * (n + 1)
+    border = 1 | (1 << (n + 1))
+    below = [(1 << p) - 1 for p in range(n + 1)]
+    sides = [(1 << (p - 1)) | (1 << (p + 1)) if p else 0 for p in range(n + 1)]
+    # alive has bit 0 for X and bit 1 for Y; a non-doubled node at an even
+    # level keeps only X, at an odd level only Y
+    keep = (1, 2)
+    totals = [0, 0, 0, 0]
+    for pos in _reversal_half(n):
+        filled = border
+        alive = 3
+        for v, p in enumerate(pos, 1):
+            a = at[(filled & below[p]).bit_length() - 1]
+            # the lowest set bit of above is bit p + 1 + (its bit_length - 1)
+            above = filled >> (p + 1)
+            b = at[(above & -above).bit_length() + p]
+            lv = level[a if a > b else b] + 1
             level[v] = lv
-            if 0 < i < last and perm[i - 1] > v and perm[i + 1] > v:
-                continue
-            if lv & 1:
-                in_x = False
-                if not in_y:
+            at[p] = v
+            if filled & sides[p]:
+                alive &= keep[lv & 1]
+                if not alive:
                     break
-            else:
-                in_y = False
-                if not in_x:
-                    break
-        if in_x:
-            x_total += weight
-        if in_y:
-            y_total += weight
-    return x_total, y_total
+            filled |= 1 << p
+        totals[alive] += weight
+    return totals[1] + totals[3], totals[2] + totals[3]
 
 
 def parity_class_counts_dp(n: int) -> tuple[int, int]:

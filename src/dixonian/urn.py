@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,14 +152,19 @@ def brute_cap() -> int:
     return cap
 
 
-def enumerate_histories(n: int, start: str = "x", cap: int | None = None) -> list[str]:
+def enumerate_histories(
+    n: int, start: str = "x", cap: int | None = None
+) -> Counter[str]:
     """Every length-n history of the sacrificial urn, as rewrite words.
 
     One draw replaces a single letter in place, x -> yy or y -> xx, so the
     word grows by one letter per draw and a start of length L admits
-    L (L+1) ... (L+n-1) histories.  The returned list keeps duplicates:
-    different draw orders can leave the same word, and the multiset is
-    what the operator route counts.
+    L (L+1) ... (L+n-1) histories.  Different draw orders can leave the
+    same word, so the histories come back as a multiset: each word maps
+    to the number of histories that leave it, which is what the operator
+    route counts.  Every position of each distinct word is rewritten and
+    the new word inherits its multiplicity, so 9 draws from "x" end on
+    341 distinct words rather than 9! = 362880 copies.
     """
     if n < 0:
         raise ValueError("cannot run a negative number of draws")
@@ -170,12 +176,13 @@ def enumerate_histories(n: int, start: str = "x", cap: int | None = None) -> lis
             f"{n} draws exceed the enumeration cap {limit}; "
             f"set {BRUTE_CAP_ENV} to raise it"
         )
-    words = [start]
+    words = Counter({start: 1})
     for _ in range(n):
-        step: list[str] = []
-        for w in words:
+        step: Counter[str] = Counter()
+        for w, mult in words.items():
             for i, ch in enumerate(w):
-                step.append(w[:i] + ("yy" if ch == "x" else "xx") + w[i + 1 :])
+                nxt = w[:i] + ("yy" if ch == "x" else "xx") + w[i + 1 :]
+                step[nxt] += mult
         words = step
     return words
 

@@ -207,7 +207,7 @@ def test_enumerate_negative_size_is_usage_error(capsys):
 
 
 def test_enumerate_histories_csv_and_json(capsys):
-    words = sorted(enumerate_histories(3))
+    words = sorted(enumerate_histories(3).elements())
     code, out, _ = run(capsys, "enumerate", "histories", "--n", "3", "--format", "csv")
     assert code == 0
     assert out == "item\n" + "".join(w + "\n" for w in words)

@@ -15,6 +15,7 @@ from dixonian.permutations import (
     PEAK,
     VALLEY,
     TreeNode,
+    _reversal_half,
     andre_polynomials,
     andre_weights,
     classify,
@@ -169,6 +170,89 @@ def test_sweep_dp_and_taylor_agree():
         expected = (abs(sm_ints[n]), abs(cm_ints[n]))
         assert parity_class_counts(n) == expected
         assert parity_class_counts_dp(n) == expected
+
+
+# -- oracle: the two-stack sweep -------------------------------------------
+
+
+def stack_sweep_counts(n):
+    """(|X_n|, |Y_n|) by the sweep over S_n in one-line notation: two
+    stack passes give each position its nearest smaller values, and half
+    of S_n, the permutations with perm[0] < perm[-1], is counted twice."""
+    x_total = 0
+    y_total = 0
+    last = n - 1
+    weight = 2 if n > 1 else 1
+    level = [0] * (n + 1)
+    lsv = [0] * n
+    rsv = [0] * n
+    pos = [0] * (n + 1)
+    for perm in perms(n):
+        if perm[0] > perm[last]:
+            continue
+        stack = []
+        for i in range(n):
+            v = perm[i]
+            while stack and stack[-1] > v:
+                stack.pop()
+            lsv[i] = stack[-1] if stack else 0
+            stack.append(v)
+            pos[v] = i
+        stack = []
+        for i in range(last, -1, -1):
+            v = perm[i]
+            while stack and stack[-1] > v:
+                stack.pop()
+            rsv[i] = stack[-1] if stack else 0
+            stack.append(v)
+        in_x = True
+        in_y = True
+        for v in range(1, n + 1):
+            i = pos[v]
+            a = lsv[i]
+            b = rsv[i]
+            parent = a if a > b else b
+            lv = level[parent] + 1 if parent else 0
+            level[v] = lv
+            if 0 < i < last and perm[i - 1] > v and perm[i + 1] > v:
+                continue
+            if lv & 1:
+                in_x = False
+                if not in_y:
+                    break
+            else:
+                in_y = False
+                if not in_x:
+                    break
+        if in_x:
+            x_total += weight
+        if in_y:
+            y_total += weight
+    return x_total, y_total
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sweep_matches_stack_oracle_and_definition(n):
+    memberships = [in_parity_classes(p) for p in perms(n)]
+    by_definition = tuple(sum(m[slot] for m in memberships) for slot in (0, 1))
+    assert parity_class_counts(n) == stack_sweep_counts(n) == by_definition
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_reversal_half_picks_one_of_each_pair(n):
+    def first_off_middle_sits_left(pos):
+        # at most one value sits in the middle, (n + 1) / 2 for odd n
+        off = next((p for p in pos if 2 * p != n + 1), None)
+        return off is None or 2 * off < n + 1
+
+    every = list(perms(n))
+    half = list(_reversal_half(n))
+    assert half == [pos for pos in every if first_off_middle_sits_left(pos)]
+    mirrored = {tuple(n + 1 - p for p in pos) for pos in half}
+    assert mirrored | set(half) == set(every)
+    if n > 1:
+        assert mirrored.isdisjoint(half)
+        assert 2 * len(half) == len(every)
 
 
 def test_ten_value_classes_via_dp():

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dixonian
 from dixonian.core import PowerSeries
 
@@ -67,3 +69,26 @@ def test_traced_launch_writes_spans(tmp_path):
     doc = json.loads(spans.read_text(encoding="utf-8"))
     assert doc["import_s"] > 0
     assert {(s[1], s[2]) for s in doc["spans"]} >= {("cli", "main"), ("functions", "dixon_egf_integers")}
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (("verify", "urn", "--n", "3"), ["start=x: 3 draw lengths match",
+                                         "start=y: 3 draw lengths match", "PASS"]),
+        (("enumerate", "histories", "--n", "3"), ["xxxx", "xxxx", "xyyy", "yxyy",
+                                                  "yyxy", "yyyx"]),
+    ],
+)
+def test_traced_urn_commands_write_spans(tmp_path, argv, lines):
+    # the wrapper around enumerate_histories must pass its multiset through
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=SRC, PERFBENCH_SPANS=str(spans))
+    done = subprocess.run(
+        [sys.executable, "-B", str(LAUNCH), *argv],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == lines
+    doc = json.loads(spans.read_text(encoding="utf-8"))
+    assert {(s[1], s[2]) for s in doc["spans"]} >= {("cli", "main"), ("urn", "enumerate_histories")}

@@ -65,15 +65,45 @@ def test_starting_configuration_must_be_nonempty():
 # -- brute enumeration --------------------------------------------------
 
 
+def rewrite_words(n, start):
+    """Every length-n history as its own word, duplicates kept: each draw
+    rewrites every position of every word in the list."""
+    words = [start]
+    for _ in range(n):
+        step = []
+        for w in words:
+            for i, ch in enumerate(w):
+                step.append(w[:i] + ("yy" if ch == "x" else "xx") + w[i + 1 :])
+        words = step
+    return words
+
+
+def x_tally(words):
+    """Histories by final number of x balls, weighting each word by the
+    number of histories that leave it."""
+    tally = Counter()
+    for w, mult in words.items():
+        tally[w.count("x")] += mult
+    return tally
+
+
 def test_two_draw_words():
-    assert sorted(enumerate_histories(2)) == ["xxy", "yxx"]
+    assert sorted(enumerate_histories(2).elements()) == ["xxy", "yxx"]
 
 
 def test_three_draw_words_keep_duplicates():
     words = enumerate_histories(3)
-    assert len(words) == 6
+    assert words.total() == 6
     # Two distinct draw orders both leave the all-x word.
-    assert Counter(words)["xxxx"] == 2
+    assert words["xxxx"] == 2
+    # 9! histories leave only 341 distinct words.
+    assert len(enumerate_histories(9)) == 341
+
+
+@pytest.mark.parametrize("start", ["x", "y", "xy", "yyx"])
+def test_multiset_matches_rewriting_oracle(start):
+    for n in range(8):
+        assert enumerate_histories(n, start=start) == Counter(rewrite_words(n, start))
 
 
 @pytest.mark.parametrize("start", ["x", "y"])
@@ -82,8 +112,8 @@ def test_brute_matches_operator(start):
     table = history_count_table(M12, p, q, 8)
     for n in range(9):
         words = enumerate_histories(n, start=start)
-        assert len(words) == math.factorial(n)
-        assert Counter(w.count("x") for w in words) == table[n]
+        assert words.total() == math.factorial(n)
+        assert x_tally(words) == table[n]
 
 
 def test_brute_cap_respects_environment(monkeypatch):
@@ -93,7 +123,7 @@ def test_brute_cap_respects_environment(monkeypatch):
         enumerate_histories(DEFAULT_BRUTE_CAP + 1)
     monkeypatch.setenv(BRUTE_CAP_ENV, "3")
     assert brute_cap() == 3
-    assert len(enumerate_histories(3)) == 6
+    assert enumerate_histories(3).total() == 6
     with pytest.raises(ValueError):
         enumerate_histories(4)
     monkeypatch.setenv(BRUTE_CAP_ENV, "4x")
@@ -103,21 +133,21 @@ def test_brute_cap_respects_environment(monkeypatch):
 
 def test_explicit_cap_overrides_environment(monkeypatch):
     monkeypatch.setenv(BRUTE_CAP_ENV, "2")
-    assert len(enumerate_histories(4, cap=4)) == 24
+    assert enumerate_histories(4, cap=4).total() == 24
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     st.text(alphabet="xy", min_size=1, max_size=3),
-    st.integers(0, 5),
+    st.integers(0, 8),
 )
 def test_word_multiset_matches_operator(start, n):
-    words = enumerate_histories(n, start=start, cap=5)
+    words = enumerate_histories(n, start=start, cap=8)
     length = len(start)
     rising = math.prod(range(length, length + n)) if n else 1
-    assert len(words) == rising
+    assert words.total() == rising
     counts = history_counts(M12, start.count("x"), start.count("y"), n)
-    assert Counter(w.count("x") for w in words) == counts
+    assert x_tally(words) == counts
 
 
 # -- monochrome slices --------------------------------------------------
