@@ -13,7 +13,6 @@ recurrence).
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
@@ -265,64 +264,33 @@ def in_parity_classes(perm: Sequence[int]) -> tuple[bool, bool]:
     return in_x, in_y
 
 
-def _reversal_half(n: int) -> Iterator[tuple[int, ...]]:
-    """One permutation of each reversal pair of S_n, as inverse
-    permutations: entry v - 1 is the position 1..n of value v.
+def _parity_keep(parity: int) -> Callable[[int, str, int, list[str]], bool]:
+    """Placement rule of class X (parity 0) or Y (parity 1): every
+    non-valley sits at a level of that parity."""
 
-    Reversal sends position p to n + 1 - p, which reverses the
-    lexicographic order of these tuples, so the first n!/2 of them are
-    exactly the ones whose first value off the middle sits left of it.
-    Once n >= 2 no permutation is its own reversal; S_1 is walked whole.
-    """
-    inverses = itertools.permutations(range(1, n + 1))
-    return itertools.islice(inverses, math.factorial(n) // 2 if n > 1 else 1)
+    def keep(v: int, code: str, level: int, codes: list[str]) -> bool:
+        return code == VALLEY or level % 2 == parity
+
+    return keep
 
 
-def parity_class_counts(n: int) -> tuple[int, int]:
-    """(|X_n|, |Y_n|) by one exhaustive sweep of S_n.
+def parity_class_counts(n: int, cap: int | None = None) -> tuple[int, int]:
+    """(|X_n|, |Y_n|) by counting the pruned placements of each class.
 
-    Each permutation is read through its inverse, placing the values in
-    increasing order on the positions 1..n of a bitmask whose two border
-    bits stay set.  When v lands at p, the nearest filled bits on either
-    side hold v's two nearest smaller values (or a border), the larger
-    one is v's parent and fixes its level, and v is an interior valley
-    exactly when both neighbouring bits are still empty.  The first
-    non-doubled node at an odd (even) level kills X (Y).  Reversal
-    preserves both classes, so only :func:`_reversal_half` is walked and
-    counted twice; every permutation in it is classified on its own.
+    A value's local type and level are final once it is placed, so the
+    first non-doubled node at a forbidden level condemns every completion
+    of its prefix at once, and the cost follows the classes rather than
+    n!.  Every member is still placed and checked on its own, which keeps
+    the count independent of :func:`parity_class_counts_dp`.  The brute
+    enumeration cap applies unless an explicit ``cap`` is given.
     """
     if n < 1:
-        raise ValueError("the sweep needs at least one value")
-    weight = 2 if n > 1 else 1
-    # at[b] is the value on bit b; the border bits 0 and n + 1 read as 0,
-    # whose level -1 puts the root at level 0
-    at = [0] * (n + 2)
-    level = [-1] * (n + 1)
-    border = 1 | (1 << (n + 1))
-    below = [(1 << p) - 1 for p in range(n + 1)]
-    sides = [(1 << (p - 1)) | (1 << (p + 1)) if p else 0 for p in range(n + 1)]
-    # alive has bit 0 for X and bit 1 for Y; a non-doubled node at an even
-    # level keeps only X, at an odd level only Y
-    keep = (1, 2)
-    totals = [0, 0, 0, 0]
-    for pos in _reversal_half(n):
-        filled = border
-        alive = 3
-        for v, p in enumerate(pos, 1):
-            a = at[(filled & below[p]).bit_length() - 1]
-            # the lowest set bit of above is bit p + 1 + (its bit_length - 1)
-            above = filled >> (p + 1)
-            b = at[(above & -above).bit_length() + p]
-            lv = level[a if a > b else b] + 1
-            level[v] = lv
-            at[p] = v
-            if filled & sides[p]:
-                alive &= keep[lv & 1]
-                if not alive:
-                    break
-            filled |= 1 << p
-        totals[alive] += weight
-    return totals[1] + totals[3], totals[2] + totals[3]
+        raise ValueError("the parity classes need at least one value")
+
+    def count(parity: int) -> int:
+        return sum(1 for _ in _placements(n, _parity_keep(parity), cap=cap))
+
+    return count(0), count(1)
 
 
 def parity_class_counts_dp(n: int) -> tuple[int, int]:
@@ -350,15 +318,12 @@ def parity_class_members(
 
     Placement prunes a prefix as soon as one value is a non-valley at a
     forbidden level, so the cost follows the class rather than n!; the
-    exhaustive sweep is :func:`parity_class_counts`."""
+    same placements, counted without being listed, are
+    :func:`parity_class_counts`."""
     parity = {"X": 0, "Y": 1}.get(which.upper())
     if parity is None:
         raise ValueError("the class is X or Y")
-
-    def keep(v: int, code: str, level: int, codes: list[str]) -> bool:
-        return code == VALLEY or level % 2 == parity
-
-    return sorted(_placements(n, keep, cap=cap))
+    return sorted(_placements(n, _parity_keep(parity), cap=cap))
 
 
 # -- unlabeled Y shapes ---------------------------------------------------

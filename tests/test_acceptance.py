@@ -188,7 +188,7 @@ def test_criterion_09_composition_identity():
 
 
 def test_criterion_10_parity_classes_exhaustive(capsys, monkeypatch):
-    # The sweep over S_10 sits one past the default brute-force cap.
+    # Counting the placements at n = 10 sits one past the default brute-force cap.
     monkeypatch.setenv("DIXONIAN_BRUTE_CAP", "10")
     run_verify(capsys, "parity", "--n", "10")
     assert set(parity_class_members("Y", 3)) == {(2, 1, 3), (3, 1, 2)}

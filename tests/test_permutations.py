@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dixonian import permutations
 from dixonian.contfrac import jfraction_extract
 from dixonian.core import PowerSeries, series_compose, series_derive
 from dixonian.functions import dixon_egf_integers, dixon_series
@@ -15,7 +16,6 @@ from dixonian.permutations import (
     PEAK,
     VALLEY,
     TreeNode,
-    _reversal_half,
     andre_polynomials,
     andre_weights,
     classify,
@@ -238,23 +238,6 @@ def test_sweep_matches_stack_oracle_and_definition(n):
     assert parity_class_counts(n) == stack_sweep_counts(n) == by_definition
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_reversal_half_picks_one_of_each_pair(n):
-    def first_off_middle_sits_left(pos):
-        # at most one value sits in the middle, (n + 1) / 2 for odd n
-        off = next((p for p in pos if 2 * p != n + 1), None)
-        return off is None or 2 * off < n + 1
-
-    every = list(perms(n))
-    half = list(_reversal_half(n))
-    assert half == [pos for pos in every if first_off_middle_sits_left(pos)]
-    mirrored = {tuple(n + 1 - p for p in pos) for pos in half}
-    assert mirrored | set(half) == set(every)
-    if n > 1:
-        assert mirrored.isdisjoint(half)
-        assert 2 * len(half) == len(every)
-
-
 def test_ten_value_classes_via_dp():
     assert parity_class_counts_dp(10) == (20800, 0)
 
@@ -262,6 +245,7 @@ def test_ten_value_classes_via_dp():
 def test_member_listing_respects_cap(monkeypatch):
     routes = [
         (lambda: len(parity_class_members("X", 4)), 4),
+        (lambda: parity_class_counts(4), (4, 0)),
         (lambda: repeated_count_brute(4, 1), 24),
         (lambda: polarized_total(4), 4),
     ]
@@ -270,9 +254,34 @@ def test_member_listing_respects_cap(monkeypatch):
         with pytest.raises(ValueError, match="DIXONIAN_BRUTE_CAP"):
             route()
     assert len(parity_class_members("X", 4, cap=4)) == 4
+    assert parity_class_counts(4, cap=4) == (4, 0)
     monkeypatch.setenv("DIXONIAN_BRUTE_CAP", "4")
     for route, expected in routes:
         assert route() == expected
+
+
+def test_class_counts_refuse_past_the_cap_before_placing(monkeypatch):
+    placed = []
+
+    def spy(parity):
+        def keep(v, code, level, codes):
+            placed.append(v)
+            return True
+
+        return keep
+
+    monkeypatch.setattr(permutations, "_parity_keep", spy)
+    monkeypatch.setenv("DIXONIAN_BRUTE_CAP", "5")
+    with pytest.raises(ValueError, match="DIXONIAN_BRUTE_CAP"):
+        parity_class_counts(6)
+    with pytest.raises(ValueError, match="DIXONIAN_BRUTE_CAP"):
+        parity_class_counts(4, cap=3)
+    with pytest.raises(ValueError):
+        parity_class_counts(0)
+    assert placed == []
+    # the spy is live: keeping everything counts all of S_2 for both classes
+    assert parity_class_counts(2) == (2, 2)
+    assert placed
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -292,9 +301,8 @@ def test_placements_match_definition(n):
 
 @pytest.mark.parametrize("n", [10, 11])
 def test_placement_counts_match_slot_walk(n):
-    # the third count route; n = 11 lies past criterion 10's sweep of S_10
-    counts = tuple(len(parity_class_members(c, n, cap=n)) for c in "XY")
-    assert counts == parity_class_counts_dp(n)
+    # n = 11 lies past the n = 10 of criterion 10
+    assert parity_class_counts(n, cap=n) == parity_class_counts_dp(n)
 
 
 def test_placement_routes_reject_negative_sizes():
