@@ -274,7 +274,7 @@ def _parity_keep(parity: int) -> Callable[[int, str, int, list[str]], bool]:
     return keep
 
 
-def parity_class_counts(n: int, cap: int | None = None) -> tuple[int, int]:
+def parity_class_counts(n: int) -> tuple[int, int]:
     """(|X_n|, |Y_n|) by counting the pruned placements of each class.
 
     A value's local type and level are final once it is placed, so the
@@ -282,13 +282,13 @@ def parity_class_counts(n: int, cap: int | None = None) -> tuple[int, int]:
     of its prefix at once, and the cost follows the classes rather than
     n!.  Every member is still placed and checked on its own, which keeps
     the count independent of :func:`parity_class_counts_dp`.  The brute
-    enumeration cap applies unless an explicit ``cap`` is given.
+    enumeration cap applies.
     """
     if n < 1:
         raise ValueError("the parity classes need at least one value")
 
     def count(parity: int) -> int:
-        return sum(1 for _ in _placements(n, _parity_keep(parity), cap=cap))
+        return sum(1 for _ in _placements(n, _parity_keep(parity)))
 
     return count(0), count(1)
 

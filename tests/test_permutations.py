@@ -254,7 +254,6 @@ def test_member_listing_respects_cap(monkeypatch):
         with pytest.raises(ValueError, match="DIXONIAN_BRUTE_CAP"):
             route()
     assert len(parity_class_members("X", 4, cap=4)) == 4
-    assert parity_class_counts(4, cap=4) == (4, 0)
     monkeypatch.setenv("DIXONIAN_BRUTE_CAP", "4")
     for route, expected in routes:
         assert route() == expected
@@ -274,8 +273,6 @@ def test_class_counts_refuse_past_the_cap_before_placing(monkeypatch):
     monkeypatch.setenv("DIXONIAN_BRUTE_CAP", "5")
     with pytest.raises(ValueError, match="DIXONIAN_BRUTE_CAP"):
         parity_class_counts(6)
-    with pytest.raises(ValueError, match="DIXONIAN_BRUTE_CAP"):
-        parity_class_counts(4, cap=3)
     with pytest.raises(ValueError):
         parity_class_counts(0)
     assert placed == []
@@ -300,9 +297,10 @@ def test_placements_match_definition(n):
 
 
 @pytest.mark.parametrize("n", [10, 11])
-def test_placement_counts_match_slot_walk(n):
+def test_placement_counts_match_slot_walk(n, monkeypatch):
     # n = 11 lies past the n = 10 of criterion 10
-    assert parity_class_counts(n, cap=n) == parity_class_counts_dp(n)
+    monkeypatch.setenv("DIXONIAN_BRUTE_CAP", str(n))
+    assert parity_class_counts(n) == parity_class_counts_dp(n)
 
 
 def test_placement_routes_reject_negative_sizes():
