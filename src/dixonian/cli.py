@@ -170,7 +170,7 @@ def _verify_conrad(
     checks = []
     for fam in families:
         rep = verify_conrad(kind, fam, depth, inject_fault=inject_fault)
-        checks.append((f"{kind}-{fam}", rep.ok, rep.first_message()))
+        checks.append((f"{kind}-{fam}", rep.ok, rep.message))
     return checks
 
 
@@ -178,16 +178,16 @@ def _verify_parity(n_max: int, inject_fault: bool) -> list[tuple]:
     sm_ints, cm_ints = dixon_egf_integers(n_max)
     checks = []
     for n in range(1, n_max + 1):
-        sweep = parity_class_counts(n)
+        placed = parity_class_counts(n)
         if inject_fault and n == n_max:
-            sweep = (sweep[0] + 1, sweep[1])
+            placed = (placed[0] + 1, placed[1])
         slots = parity_class_counts_dp(n)
         series = (abs(sm_ints[n]), abs(cm_ints[n]))
-        ok = sweep == slots == series
+        ok = placed == slots == series
         if ok:
-            detail = f"X={sweep[0]} Y={sweep[1]}"
+            detail = f"X={placed[0]} Y={placed[1]}"
         else:
-            detail = f"sweep {sweep}, slot walk {slots}, series {series}"
+            detail = f"placements {placed}, slot walk {slots}, series {series}"
         checks.append((f"n={n}", ok, detail))
     return checks
 
@@ -352,7 +352,7 @@ def _verify_andre(k_max: int, inject_fault: bool) -> list[tuple]:
 class VerifyTarget(NamedTuple):
     """How ``verify`` runs one target: the flag that sets its size (None
     when it takes none), the default and the smallest size, whether the
-    size drives a brute-force sweep (and so sits under the brute-force
+    size drives a brute-force enumeration (and so sits under the brute-force
     cap), and the check, called as ``check(size, inject_fault)`` and
     returning (name, ok, detail) rows."""
 

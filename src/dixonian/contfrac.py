@@ -7,7 +7,7 @@ integers.  This module builds the generating functions exactly, reads
 J-fraction coefficients off their moments by the Chebyshev algorithm
 (S-fractions through the contraction), expands fractions back as
 weighted Motzkin path sums, carries the closed-form tables, and folds
-convergents into exact rational functions.
+convergents into exact rational functions by one Wallis recurrence.
 
 Conventions, fixed once and used everywhere:
 
@@ -26,7 +26,7 @@ taken as printed.  Extraction from the actual series confirms the signs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -40,7 +40,6 @@ from dixonian.core import (
 from dixonian.functions import dixon_egf_product
 
 __all__ = [
-    "Monomial",
     "JFraction",
     "SFraction",
     "RationalFunction",
@@ -69,14 +68,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Monomial:
-    """A prefactor coeff * x^power standing in front of a fraction in w = x^3."""
-
-    coeff: Fraction
-    power: int
-
-
-@dataclass(frozen=True)
 class JFraction:
     cs: tuple[Fraction, ...]
     as_: tuple[Fraction, ...]
@@ -89,42 +80,36 @@ class SFraction:
 
 # -- closed-form coefficient tables -----------------------------------
 
-# J-families: name -> (prefactor, a(n) for n >= 1, b(n) for n >= 0), with
-# the fraction coefficient c(n) = -b(n).
-J_FAMILIES: dict[str, tuple[Monomial, Callable[[int], int], Callable[[int], int]]] = {
+# J-families: name -> (a(n) for n >= 1, b(n) for n >= 0), with the
+# fraction coefficient c(n) = -b(n).
+J_FAMILIES: dict[str, tuple[Callable[[int], int], Callable[[int], int]]] = {
     "sm": (
-        Monomial(Fraction(1), 2),
         lambda n: (3 * n - 2) * (3 * n - 1) ** 2 * (3 * n) ** 2 * (3 * n + 1),
         lambda n: 2 * (3 * n + 1) * ((3 * n + 1) ** 2 + 1),
     ),
     "sm2": (
-        Monomial(Fraction(2), 3),
         lambda n: (3 * n - 1) * (3 * n) ** 2 * (3 * n + 1) ** 2 * (3 * n + 2),
         lambda n: 2 * (3 * n + 2) * ((3 * n + 2) ** 2 + 1),
     ),
     "sm3": (
-        Monomial(Fraction(6), 4),
         lambda n: (3 * n) * (3 * n + 1) ** 2 * (3 * n + 2) ** 2 * (3 * n + 3),
         lambda n: 2 * (3 * n + 3) * ((3 * n + 3) ** 2 + 1),
     ),
     "cm": (
-        Monomial(Fraction(1), 1),
         lambda n: (3 * n - 2) ** 2 * (3 * n - 1) ** 2 * (3 * n) ** 2,
         lambda n: (3 * n - 1) * (3 * n) ** 2 + (3 * n + 1) ** 2 * (3 * n + 2),
     ),
     "smcm": (
-        Monomial(Fraction(1), 2),
         lambda n: (3 * n - 1) ** 2 * (3 * n) ** 2 * (3 * n + 1) ** 2,
         lambda n: (3 * n) * (3 * n + 1) ** 2 + (3 * n + 2) ** 2 * (3 * n + 3),
     ),
     "sm2cm": (
-        Monomial(Fraction(2), 3),
         lambda n: (3 * n) ** 2 * (3 * n + 1) ** 2 * (3 * n + 2) ** 2,
         lambda n: (3 * n + 1) * (3 * n + 2) ** 2 + (3 * n + 3) ** 2 * (3 * n + 4),
     ),
 }
 
-# S-families: name -> (prefactor, d(k) for k >= 1), split by parity of k.
+# S-families: name -> d(k) for k >= 1, split by parity of k.
 def _s_sm(k: int) -> int:
     r = (k + 1) // 2
     if k % 2:
@@ -146,13 +131,10 @@ def _s_smcm(k: int) -> int:
     return (3 * r) * (3 * r + 1) ** 2
 
 
-S_FAMILIES: dict[str, tuple[Monomial, Callable[[int], int]]] = {
-    "sm": (Monomial(Fraction(1), 2), _s_sm),
-    "cm": (Monomial(Fraction(1), 1), _s_cm),
-    "smcm": (Monomial(Fraction(1), 2), _s_smcm),
-}
+S_FAMILIES: dict[str, Callable[[int], int]] = {"sm": _s_sm, "cm": _s_cm, "smcm": _s_smcm}
 
-# Which sm^p cm^q product each family transforms; the product starts at z^p.
+# Which sm^p cm^q product each family transforms; the product starts at
+# z^p, so the family's prefactor is p! x^(p+1).
 _FAMILY_PRODUCT: dict[str, tuple[int, int]] = {
     "sm": (1, 0), "sm2": (2, 0), "sm3": (3, 0), "cm": (0, 1), "smcm": (1, 1), "sm2cm": (2, 1),
 }
@@ -172,16 +154,16 @@ def doubled_sequence(length: int) -> list[int]:
 
 
 def family_ogf(family: str, m_max: int) -> PowerSeries:
-    """The reduced series G(w) with F(x) = prefactor * G(x^3), G(0) = 1.
+    """The reduced series G(w) with F(x) = p! x^(p+1) G(x^3), G(0) = 1.
 
     F is the shifted transfer of sm^p cm^q for the family's (p, q), so
     [x^(n+1)] F is the integer n! [z^n] sm^p cm^q; the reduction divides
     out the prefactor and reads every third coefficient.
     """
     p, q = _FAMILY_PRODUCT[family]
-    pre = (J_FAMILIES[family][0] if family in J_FAMILIES else S_FAMILIES[family][0])
     moments = dixon_egf_product(p, q, 3 * m_max + p)
-    g = PowerSeries([moments[3 * m + p] / pre.coeff for m in range(m_max + 1)], m_max)
+    lead = math.factorial(p)
+    g = PowerSeries([Fraction(moments[3 * m + p], lead) for m in range(m_max + 1)], m_max)
     if g.coefficient(0) != 1:
         raise AssertionError(f"family {family} did not normalize to G(0) = 1")
     return g
@@ -324,39 +306,28 @@ def contract_s_to_j(ds: Sequence[Fraction | int]) -> tuple[list[Fraction], list[
 
 
 def conrad_j_reference(family: str, max_n: int) -> JFraction:
-    _, a_fn, b_fn = J_FAMILIES[family]
+    a_fn, b_fn = J_FAMILIES[family]
     cs = tuple(Fraction(-b_fn(n)) for n in range(max_n + 1))
     as_ = tuple(Fraction(a_fn(n)) for n in range(1, max_n + 1))
     return JFraction(cs=cs, as_=as_)
 
 
 def conrad_s_reference(family: str, max_k: int) -> SFraction:
-    _, d_fn = S_FAMILIES[family]
+    d_fn = S_FAMILIES[family]
     return SFraction(ds=tuple(Fraction(d_fn(k)) for k in range(1, max_k + 1)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerifyReport:
     ok: bool
-    kind: str
-    family: str
-    depth: int
-    mismatches: list[dict] = field(default_factory=list)
-
-    def first_message(self) -> str:
-        if self.ok:
-            return f"{self.kind}-fraction {self.family}: all coefficients match"
-        m = self.mismatches[0]
-        return (
-            f"{self.kind}-fraction {self.family}: {m['slot']}({m['index']}) "
-            f"expected {m['expected']}, extracted {m['got']}"
-        )
+    message: str
 
 
 def verify_conrad(
     kind: str, family: str, max_n: int, inject_fault: bool = False
 ) -> VerifyReport:
-    """Extract fraction coefficients from the series and compare tables.
+    """Extract fraction coefficients from the series and compare tables;
+    the message names the first mismatch.
 
     ``inject_fault`` corrupts one extracted value first, to prove the
     comparison actually bites.
@@ -374,52 +345,63 @@ def verify_conrad(
     faulted = slots[0][3]
     if inject_fault and faulted:
         faulted[-1] += 1
-    mismatches = [
-        {"slot": slot, "index": first + i, "expected": str(want), "got": str(have[i])}
-        for slot, first, wanted, have in slots
-        for i, want in enumerate(wanted)
-        if have[i] != want
-    ]
-    return VerifyReport(
-        ok=not mismatches,
-        kind=kind,
-        family=family,
-        depth=max_n,
-        mismatches=mismatches,
-    )
+    name = f"{kind}-fraction {family}"
+    for slot, first, wanted, have in slots:
+        for i, want in enumerate(wanted):
+            if have[i] != want:
+                found = f"{slot}({first + i}) expected {want}, extracted {have[i]}"
+                return VerifyReport(False, f"{name}: {found}")
+    return VerifyReport(True, f"{name}: all coefficients match")
 
 
 # -- convergents --------------------------------------------------------
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+_Poly = list[Fraction]  # coefficients, low first
 
 
-def _poly_add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] += y
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+def _wallis(steps: Sequence[tuple[_Poly, _Poly]], before: _Poly) -> Iterator[_Poly]:
+    """Yield X(1), X(2), ... of X(k) = D(k) X(k-1) + B(k) X(k-2), with
+    X(0) = 1, X(-1) = before and steps[k-1] = (D(k), B(k)).
+
+    These are the denominators of a fraction's convergents; trailing
+    zeros are dropped, and zero terms are skipped in the products.
+    """
+    older, old = before, [Fraction(1)]
+    for d, b in steps:
+        new = [Fraction(0)] * (max(len(d) + len(old), len(b) + len(older)) - 1)
+        for factor, x in ((d, old), (b, older)):
+            for i, f in enumerate(factor):
+                if f:
+                    for j, y in enumerate(x):
+                        if y:
+                            new[i + j] += f * y
+        while len(new) > 1 and new[-1] == 0:
+            new.pop()
+        older, old = old, new
+        yield new
 
 
-def _poly_scale(a: list[Fraction], c: Fraction) -> list[Fraction]:
-    if c == 0:
-        return [Fraction(0)]
-    return [c * x for x in a]
+def _j_steps(
+    cs: Sequence[Fraction | int], as_: Sequence[Fraction | int], depth: int
+) -> list[tuple[_Poly, _Poly]]:
+    """Wallis steps of a J-fraction: D(k) = 1 - c(k-1) w, B(k) = -a(k-1) w^2,
+    and B(1) = 0, since it would multiply X(-1) = 0."""
+    return [
+        ([1, -Fraction(cs[k])], [0, 0, -Fraction(as_[k - 1]) if k else 0])
+        for k in range(depth)
+    ]
+
+
+def _convergent(steps: Sequence[tuple[_Poly, _Poly]], before: _Poly) -> RationalFunction:
+    """The convergent over all the steps: the numerator is the denominator
+    of the tail fraction, which starts one step later."""
+    num = den = [Fraction(1)]
+    for num in _wallis(steps[1:], before):
+        pass
+    for den in _wallis(steps, before):
+        pass
+    return RationalFunction(num=tuple(num), den=tuple(den))
 
 
 @dataclass(frozen=True)
@@ -448,30 +430,14 @@ def convergent_j(
     cs: Sequence[Fraction | int], as_: Sequence[Fraction | int], depth: int
 ) -> RationalFunction:
     """Exact depth-level truncation of a J-fraction (depth >= 1 uses c0..)."""
-    if depth < 1:
-        return RationalFunction(num=(Fraction(1),), den=(Fraction(1),))
-    num = [Fraction(1)]
-    den = [Fraction(1), -Fraction(cs[depth - 1])]
-    for i in range(depth - 2, -1, -1):
-        one_minus = [Fraction(1), -Fraction(cs[i])]
-        new_den = _poly_add(
-            _poly_mul(one_minus, den),
-            _poly_scale([Fraction(0), Fraction(0)] + num, -Fraction(as_[i])),
-        )
-        num, den = den, new_den
-    return RationalFunction(num=tuple(num), den=tuple(den))
+    return _convergent(_j_steps(cs, as_, depth), [Fraction(0)])
 
 
 def convergent_s(ds: Sequence[Fraction | int], depth: int) -> RationalFunction:
-    """Exact depth-level truncation of an S-fraction, plus convention."""
-    if depth < 1:
-        return RationalFunction(num=(Fraction(1),), den=(Fraction(1),))
-    num = [Fraction(1)]
-    den = [Fraction(1), Fraction(ds[depth - 1])]
-    for i in range(depth - 2, -1, -1):
-        new_den = _poly_add(den, _poly_scale([Fraction(0)] + num, Fraction(ds[i])))
-        num, den = den, new_den
-    return RationalFunction(num=tuple(num), den=tuple(den))
+    """Exact depth-level truncation of an S-fraction, plus convention:
+    D(k) = 1 and B(k) = d(k) w from X(-1) = 1."""
+    steps = [([1], [0, Fraction(ds[k])]) for k in range(depth)]
+    return _convergent(steps, [Fraction(1)])
 
 
 def snake_width_gf(h: int) -> RationalFunction:
@@ -539,23 +505,16 @@ def valent_ops(max_n: int, route: str = "recurrence") -> list[list[Fraction]]:
     """Monic polynomial sequence tied to the cm family, two independent ways.
 
     ``recurrence``: Q(n+1) = (z + b(n)) Q(n) - a(n) Q(n-1) with the cm
-    J-fraction tables.  ``gf``: coefficient of z^m in Q(n) read off as
-    (3n)!/(3m)! [t^(3n)] ((1-t^3)^(-1/3) theta(t)^(3m)), where theta is
-    the incomplete integral of (1-w^3)^(-2/3).
+    J-fraction tables, so Q(n) is the depth-n convergent's denominator
+    reversed (the Wallis recurrence read in z = 1/w).  ``gf``: coefficient
+    of z^m in Q(n) read off as (3n)!/(3m)! [t^(3n)] ((1-t^3)^(-1/3)
+    theta(t)^(3m)), where theta is the incomplete integral of
+    (1-w^3)^(-2/3).
     """
     if route == "recurrence":
-        _, a_fn, b_fn = J_FAMILIES["cm"]
-        polys = [[Fraction(1)]]
-        if max_n >= 1:
-            polys.append([Fraction(b_fn(0)), Fraction(1)])
-        for n in range(1, max_n):
-            z_plus_b = [Fraction(b_fn(n)), Fraction(1)]
-            nxt = _poly_add(
-                _poly_mul(z_plus_b, polys[n]),
-                _poly_scale(polys[n - 1], Fraction(-a_fn(n))),
-            )
-            polys.append(nxt)
-        return polys
+        ref = conrad_j_reference("cm", max_n)
+        dens = [[Fraction(1)], *_wallis(_j_steps(ref.cs, ref.as_, max_n), [Fraction(0)])]
+        return [(den + [Fraction(0)] * (n + 1 - len(den)))[::-1] for n, den in enumerate(dens)]
     if route == "gf":
         if max_n == 0:
             return [[Fraction(1)]]

@@ -103,7 +103,6 @@ def _placements(
     n: int,
     keep: Callable[[int, str, int, list[str]], bool],
     open_right: bool = False,
-    cap: int | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """The permutations of 1..n whose every value passes ``keep``.
 
@@ -121,11 +120,11 @@ def _placements(
     independent of the weighted path sums.
 
     Sizes are checked before the search starts: n must be nonnegative and
-    at most ``cap`` (the brute enumeration cap when None).
+    at most the brute enumeration cap.
     """
     if n < 0:
         raise ValueError("negative sizes make no sense")
-    limit = brute_cap() if cap is None else cap
+    limit = brute_cap()
     if n > limit:
         raise ValueError(
             f"enumerating n = {n} exceeds the enumeration cap {limit}; "
@@ -310,11 +309,9 @@ def parity_class_counts_dp(n: int) -> tuple[int, int]:
     return slots.coefficient(0, n + 1), slots.coefficient(n + 1, 0)
 
 
-def parity_class_members(
-    which: str, n: int, cap: int | None = None
-) -> list[tuple[int, ...]]:
+def parity_class_members(which: str, n: int) -> list[tuple[int, ...]]:
     """All members of class X or Y in lexicographic order.  The brute
-    enumeration cap applies unless an explicit ``cap`` is given.
+    enumeration cap applies.
 
     Placement prunes a prefix as soon as one value is a non-valley at a
     forbidden level, so the cost follows the class rather than n!; the
@@ -323,7 +320,7 @@ def parity_class_members(
     parity = {"X": 0, "Y": 1}.get(which.upper())
     if parity is None:
         raise ValueError("the class is X or Y")
-    return sorted(_placements(n, _parity_keep(parity), cap=cap))
+    return sorted(_placements(n, _parity_keep(parity)))
 
 
 # -- unlabeled Y shapes ---------------------------------------------------
@@ -621,25 +618,12 @@ def markable_windows(perm: Sequence[int]) -> int:
     return count
 
 
-def polarized_total(
-    n: int, open_right: bool = False, experimental: bool = False
-) -> int:
+def polarized_total(n: int) -> int:
     """Sum of 2^(markable windows) over the 3-repeated permutations, which
     are placed as in :func:`repeated_count_brute` and under the same cap.
-
-    With the closed border this reproduces the smh coefficients at
-    n = 1, 4, 7, ...  The open-border variant is exploratory and must be
-    requested with ``experimental=True``.
+    This reproduces the smh coefficients at n = 1, 4, 7, ...
     """
-    if open_right and not experimental:
-        raise ValueError(
-            "the open-border polarized model is exploratory; "
-            "pass experimental=True to evaluate it anyway"
-        )
-    return sum(
-        1 << markable_windows(perm)
-        for perm in _placements(n, _block_keep(3), open_right)
-    )
+    return sum(1 << markable_windows(perm) for perm in _placements(n, _block_keep(3)))
 
 
 def polarized_c(ell: int) -> int:

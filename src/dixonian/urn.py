@@ -152,9 +152,7 @@ def brute_cap() -> int:
     return cap
 
 
-def enumerate_histories(
-    n: int, start: str = "x", cap: int | None = None
-) -> Counter[str]:
+def enumerate_histories(n: int, start: str = "x") -> Counter[str]:
     """Every length-n history of the sacrificial urn, as rewrite words.
 
     One draw replaces a single letter in place, x -> yy or y -> xx, so the
@@ -170,7 +168,7 @@ def enumerate_histories(
         raise ValueError("cannot run a negative number of draws")
     if not start or set(start) - {"x", "y"}:
         raise ValueError("the starting word must be nonempty over {x, y}")
-    limit = brute_cap() if cap is None else cap
+    limit = brute_cap()
     if n > limit:
         raise ValueError(
             f"{n} draws exceed the enumeration cap {limit}; "

@@ -37,9 +37,9 @@ from dixonian.functions import dixon_series
 def laplace_shifted(f: PowerSeries) -> PowerSeries:
     """Shifted Borel-Laplace transfer: [x^(m+1)] result = m! [z^m] f.
 
-    This is the index convention under which the fraction prefactors come
-    out as coeff * x^power; the library reads the same integers straight
-    off its EGF tables.
+    This is the index convention under which the fraction prefactor of
+    sm^p cm^q comes out as p! x^(p+1); the library reads the same integers
+    straight off its EGF tables.
     """
     return PowerSeries(
         [0, *(c * math.factorial(m) for m, c in enumerate(f.coeffs))], f.order + 1
@@ -172,13 +172,13 @@ def test_extraction_rejects_bad_series():
 @pytest.mark.parametrize("family", sorted(J_FAMILIES))
 def test_j_family_tables(family):
     report = verify_conrad("j", family, 8)
-    assert report.ok, report.first_message()
+    assert report.ok, report.message
 
 
 @pytest.mark.parametrize("family", sorted(S_FAMILIES))
 def test_s_family_tables(family):
     report = verify_conrad("s", family, 16)
-    assert report.ok, report.first_message()
+    assert report.ok, report.message
 
 
 @pytest.mark.parametrize("family", sorted(J_FAMILIES))
@@ -198,13 +198,13 @@ def test_s_extraction_matches_peeling(family):
 @pytest.mark.parametrize("family", sorted(J_FAMILIES))
 def test_j_family_tables_deep(family):
     report = verify_conrad("j", family, 60)
-    assert report.ok, report.first_message()
+    assert report.ok, report.message
 
 
 @pytest.mark.parametrize("family", sorted(S_FAMILIES))
 def test_s_family_tables_deep(family):
     report = verify_conrad("s", family, 120)
-    assert report.ok, report.first_message()
+    assert report.ok, report.message
 
 
 def test_fault_injection_is_detected():
@@ -236,14 +236,23 @@ def test_builder_reproduces_family_series():
     assert built == family_ogf("sm", 17)
 
 
-def test_family_prefactor_indexing():
-    # The reduced series really does sit behind coeff * x^power in the
-    # full shifted transfer of the underlying product.
-    pair = dixon_series(60)
-    full = laplace_shifted(series_mul(pair.sm, pair.sm))
-    g = family_ogf("sm2", 10)
-    for m in range(11):
-        assert full.coefficient(3 * m + 3) == 2 * g.coefficient(m)
+@pytest.mark.parametrize(
+    "family, p, q",
+    [("sm", 1, 0), ("sm2", 2, 0), ("sm3", 3, 0), ("cm", 0, 1), ("smcm", 1, 1), ("sm2cm", 2, 1)],
+)
+def test_family_prefactor_indexing(family, p, q):
+    # The reduced series really does sit behind p! x^(p+1) in the full
+    # shifted transfer of sm^p cm^q, and nothing else is there.
+    pair = dixon_series(40)
+    product = PowerSeries.one(40)
+    for factor in [pair.sm] * p + [pair.cm] * q:
+        product = series_mul(product, factor)
+    full = laplace_shifted(product)
+    g = family_ogf(family, 10)
+    for k in range(3 * 10 + p + 2):
+        m, r = divmod(k - p - 1, 3)
+        expected = math.factorial(p) * g.coefficient(m) if r == 0 and m >= 0 else 0
+        assert full.coefficient(k) == expected, k
 
 
 # -- doubled-integer structure ------------------------------------------
@@ -251,7 +260,7 @@ def test_family_prefactor_indexing():
 
 @pytest.mark.parametrize("family", sorted(J_FAMILIES))
 def test_j_coefficients_tile_doubled_integers(family):
-    _, a_fn, _ = J_FAMILIES[family]
+    a_fn, _ = J_FAMILIES[family]
     off = J_WINDOW_OFFSET[family]
     d = doubled_sequence(off + 6 * 8 + 6)
     for n in range(1, 9):
@@ -261,7 +270,7 @@ def test_j_coefficients_tile_doubled_integers(family):
 
 @pytest.mark.parametrize("family", sorted(S_FAMILIES))
 def test_s_coefficients_tile_doubled_integers(family):
-    _, d_fn = S_FAMILIES[family]
+    d_fn = S_FAMILIES[family]
     off = S_TRIPLE_OFFSET[family]
     d = doubled_sequence(off + 3 * 16 + 3)
     for k in range(1, 17):
@@ -336,6 +345,25 @@ def test_depth_one_cm_convergent():
     ref = conrad_j_reference("cm", 0)
     conv = convergent_j(ref.cs, ref.as_, 1)
     assert conv == RationalFunction(num=(Fraction(1),), den=(Fraction(1), Fraction(2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=2, max_size=6), st.data())
+def test_jfraction_convergent_expands_to_path_sum(cs, data):
+    # A convergent of full depth is the finite fraction itself, so its
+    # series agrees with the Motzkin path sum at every order.
+    as_ = data.draw(st.lists(st.integers(-6, 6), min_size=len(cs) - 1, max_size=len(cs) - 1))
+    order = 2 * len(cs) + 4
+    conv = convergent_j(cs, as_, len(cs))
+    assert conv.to_series(order) == jfraction_to_series(cs, as_, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=2, max_size=8))
+def test_sfraction_convergent_expands_to_path_sum(ds):
+    order = len(ds) + 4
+    conv = convergent_s(ds, len(ds))
+    assert conv.to_series(order) == sfraction_to_series(ds, order)
 
 
 def test_snake_width_list():

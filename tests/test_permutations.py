@@ -158,13 +158,14 @@ def test_parity_witnesses():
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_sweep_matches_readable_membership(n):
-    x_members = parity_class_members("X", n, cap=n)
-    y_members = parity_class_members("Y", n, cap=n)
+def test_placement_counts_match_member_listing(n, monkeypatch):
+    monkeypatch.setenv("DIXONIAN_BRUTE_CAP", str(n))
+    x_members = parity_class_members("X", n)
+    y_members = parity_class_members("Y", n)
     assert parity_class_counts(n) == (len(x_members), len(y_members))
 
 
-def test_sweep_dp_and_taylor_agree():
+def test_placements_dp_and_taylor_agree():
     sm_ints, cm_ints = dixon_egf_integers(8)
     for n in range(1, 9):
         expected = (abs(sm_ints[n]), abs(cm_ints[n]))
@@ -232,7 +233,7 @@ def stack_sweep_counts(n):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_sweep_matches_stack_oracle_and_definition(n):
+def test_placements_match_stack_oracle_and_definition(n):
     memberships = [in_parity_classes(p) for p in perms(n)]
     by_definition = tuple(sum(m[slot] for m in memberships) for slot in (0, 1))
     assert parity_class_counts(n) == stack_sweep_counts(n) == by_definition
@@ -253,7 +254,6 @@ def test_member_listing_respects_cap(monkeypatch):
     for route, _ in routes:
         with pytest.raises(ValueError, match="DIXONIAN_BRUTE_CAP"):
             route()
-    assert len(parity_class_members("X", 4, cap=4)) == 4
     monkeypatch.setenv("DIXONIAN_BRUTE_CAP", "4")
     for route, expected in routes:
         assert route() == expected
@@ -539,13 +539,6 @@ def test_polarized_window_weights_at_four():
     assert markable_windows((4, 3, 2, 1)) == 1
     assert markable_windows((2, 1, 3, 4)) == 0
     assert polarized_total(4) == 4
-
-
-def test_open_polarized_variant_is_gated():
-    with pytest.raises(ValueError):
-        polarized_total(3, open_right=True)
-    # the one open-border 3-repeated word of size 3 is 123, weight 2
-    assert polarized_total(3, open_right=True, experimental=True) == 2
 
 
 def test_polarized_fraction_weights_match_extraction():

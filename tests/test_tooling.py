@@ -57,18 +57,25 @@ def test_cli_import_loads_every_traced_module(run_fresh):
     assert set(loaded) >= {f"dixonian.{m}" for m in _tracer_namespace()["MODULES"]}
 
 
-def test_traced_launch_writes_spans(tmp_path):
+def _traced(tmp_path, argv) -> tuple[list[str], set[tuple[str, str]], dict]:
+    """Run the CLI under the benchmark's launcher: its stdout lines, the
+    (module, function) pairs of its spans, and the span file."""
     spans = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=SRC, PERFBENCH_SPANS=str(spans))
     done = subprocess.run(
-        [sys.executable, "-B", str(LAUNCH), "series", "sm", "--order", "10"],
+        [sys.executable, "-B", str(LAUNCH), *argv],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "10, -20800/10!, -20800"
     doc = json.loads(spans.read_text(encoding="utf-8"))
+    return done.stdout.splitlines(), {(s[1], s[2]) for s in doc["spans"]}, doc
+
+
+def test_traced_launch_writes_spans(tmp_path):
+    lines, spans, doc = _traced(tmp_path, ("series", "sm", "--order", "10"))
+    assert lines[-1] == "10, -20800/10!, -20800"
     assert doc["import_s"] > 0
-    assert {(s[1], s[2]) for s in doc["spans"]} >= {("cli", "main"), ("functions", "dixon_egf_integers")}
+    assert spans >= {("cli", "main"), ("functions", "dixon_egf_integers")}
 
 
 @pytest.mark.parametrize(
@@ -82,13 +89,29 @@ def test_traced_launch_writes_spans(tmp_path):
 )
 def test_traced_urn_commands_write_spans(tmp_path, argv, lines):
     # the wrapper around enumerate_histories must pass its multiset through
-    spans = tmp_path / "spans.json"
-    env = dict(os.environ, PYTHONPATH=SRC, PERFBENCH_SPANS=str(spans))
-    done = subprocess.run(
-        [sys.executable, "-B", str(LAUNCH), *argv],
-        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == lines
-    doc = json.loads(spans.read_text(encoding="utf-8"))
-    assert {(s[1], s[2]) for s in doc["spans"]} >= {("cli", "main"), ("urn", "enumerate_histories")}
+    got, spans, _ = _traced(tmp_path, argv)
+    assert got == lines
+    assert spans >= {("cli", "main"), ("urn", "enumerate_histories")}
+
+
+@pytest.mark.parametrize(
+    "argv, lines, entry",
+    [
+        (("verify", "width", "--max-n", "3"),
+         ["h=1: W1 = (1) / (1)", "h=2: W2 = (1) / (-z^2 + 1)",
+          "h=3: W3 = (-4z^2 + 1) / (-5z^2 + 1)", "PASS"], "convergent_s"),
+        (("verify", "valent", "--max-n", "2"),
+         ["Q0: Q0(z) = 1", "Q1: Q1(z) = z + 2", "Q2: Q2(z) = z^2 + 100z + 160", "PASS"],
+         "valent_ops"),
+        (("verify", "conrad-j", "--depth", "2"),
+         [f"j-{f}: j-fraction {f}: all coefficients match"
+          for f in ("sm", "sm2", "sm3", "cm", "smcm", "sm2cm")] + ["PASS"],
+         "verify_conrad"),
+    ],
+)
+def test_traced_fraction_commands_write_spans(tmp_path, argv, lines, entry):
+    # the wrapped convergent, Valent and report functions must return
+    # what the unwrapped ones do
+    got, spans, _ = _traced(tmp_path, argv)
+    assert got == lines
+    assert spans >= {("cli", "main"), ("contfrac", entry)}

@@ -131,18 +131,15 @@ def test_brute_cap_respects_environment(monkeypatch):
         brute_cap()
 
 
-def test_explicit_cap_overrides_environment(monkeypatch):
-    monkeypatch.setenv(BRUTE_CAP_ENV, "2")
-    assert enumerate_histories(4, cap=4).total() == 24
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     st.text(alphabet="xy", min_size=1, max_size=3),
     st.integers(0, 8),
 )
 def test_word_multiset_matches_operator(start, n):
-    words = enumerate_histories(n, start=start, cap=8)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(BRUTE_CAP_ENV, "8")
+        words = enumerate_histories(n, start=start)
     length = len(start)
     rising = math.prod(range(length, length + n)) if n else 1
     assert words.total() == rising
