@@ -69,13 +69,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JFraction:
-    cs: tuple[Fraction, ...]
-    as_: tuple[Fraction, ...]
+    cs: tuple[Fraction | int, ...]
+    as_: tuple[Fraction | int, ...]
 
 
 @dataclass(frozen=True)
 class SFraction:
-    ds: tuple[Fraction, ...]
+    ds: tuple[Fraction | int, ...]
 
 
 # -- closed-form coefficient tables -----------------------------------
@@ -172,7 +172,20 @@ def family_ogf(family: str, m_max: int) -> PowerSeries:
 # -- extraction and rebuilding -----------------------------------------
 
 
-def _chebyshev(moments: Sequence[Fraction], top: int) -> Iterator[Fraction]:
+def _narrow(x: Fraction | int) -> Fraction | int:
+    """x as an int when its denominator is 1."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _quotient(p: Fraction | int, q: Fraction | int) -> Fraction | int:
+    """p / q exactly: an int when it is integral, and never a float."""
+    if isinstance(p, int) and isinstance(q, int):
+        quo, rem = divmod(p, q)
+        return Fraction(p, q) if rem else quo
+    return _narrow(p / q)
+
+
+def _chebyshev(moments: Sequence[Fraction | int], top: int) -> Iterator[Fraction | int]:
     """Yield c0, a1, c1, a2, ... of the J-fraction of sum moments[n] w^n.
 
     Gautschi's Chebyshev algorithm on the mixed moments
@@ -186,25 +199,30 @@ def _chebyshev(moments: Sequence[Fraction], top: int) -> Iterator[Fraction]:
     The j-th value yielded is the first one that needs moments[j], so
     moments[0..top] give at most top values.  A vanishing a(n) means the
     fraction terminates: it is not yielded, and nothing after it.
+
+    Integral moments, c, a and shifts are carried as ints, so integer
+    moments with integral coefficients never build a Fraction; other
+    values stay Fractions.
     """
-    prev: list[Fraction] = [Fraction(0)] * (top + 1)
-    row = list(moments[: top + 1])
-    a = Fraction(0)
-    shift = Fraction(0)  # s(k-1, k)/s(k-1, k-1)
+    prev: list[Fraction | int] = [0] * (top + 1)
+    row = [_narrow(m) for m in moments[: top + 1]]
+    a: Fraction | int = 0
+    shift: Fraction | int = 0  # s(k-1, k)/s(k-1, k-1)
     k = 0
     while 2 * k + 1 <= top:
-        c = row[k + 1] / row[k] - shift
+        ratio = _quotient(row[k + 1], row[k])
+        c = _narrow(ratio - shift)
         yield c
         if 2 * k + 2 > top:
             return
-        nxt = [Fraction(0)] * (k + 1) + [
+        nxt = [0] * (k + 1) + [
             row[l + 1] - c * row[l] - a * prev[l] for l in range(k + 1, top - k)
         ]
-        a = nxt[k + 1] / row[k]
+        a = _quotient(nxt[k + 1], row[k])
         if a == 0:
             return
         yield a
-        shift = row[k + 1] / row[k]
+        shift = ratio
         prev, row = row, nxt
         k += 1
 
@@ -239,12 +257,12 @@ def sfraction_extract(series: PowerSeries, depth: int) -> SFraction:
         raise ValueError("S-fraction extraction requires a series starting at 1")
     if series.order < depth:
         raise ValueError(f"depth {depth} needs {depth + 1} coefficients")
-    ds: list[Fraction] = []
+    ds: list[Fraction | int] = []
     for j, value in enumerate(_chebyshev(series.coeffs, depth)):
         if j == 0:
             d = -value
         elif j % 2:
-            d = value / ds[-1]
+            d = _quotient(value, ds[-1])
         else:
             d = -value - ds[-1]
         if d == 0:

@@ -3,6 +3,12 @@
 Everything downstream (series construction, continued-fraction extraction,
 urn operators) computes over the two types defined here.  Coefficients are
 ``fractions.Fraction`` throughout; nothing in this module ever rounds.
+
+Reversion runs in integers: ``series_revert`` rescales f by
+lam = lcm of the denominators of k! f_k / f_1 so that its EGF coefficients
+are integers, solves the partial Bell polynomial recurrence for the
+inverse's integer EGF coefficients in O(n^3) integer operations, and
+builds one ``Fraction`` per coefficient at the end.
 """
 
 from __future__ import annotations
@@ -250,31 +256,68 @@ def _series_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
 
 
 def series_revert(f: PowerSeries) -> PowerSeries:
-    """Compositional inverse g with f(g(z)) = z, by Newton iteration.
+    """Compositional inverse g with f(g(z)) = z, in integers.
 
     Requires f(0) = 0 and f'(0) != 0.  The result keeps f's order: the first
     ``order`` coefficients of the inverse are exact.
+
+    With c = f_1 and r_k = f_k / c, let lam be the lcm over k >= 2 of the
+    denominators of k! r_k.  Then f~(w) = f(lam w) / (c lam) has integer
+    EGF coefficients F_k = k! r_k lam^(k-1) and F_1 = 1, so its inverse
+    g~ has integer EGF coefficients G_m too.  They follow from the partial
+    Bell polynomials B(m, j) = m! [z^m] g~^j / j! (Comtet, Advanced
+    Combinatorics, 3.8):
+
+        B(m, j) = sum_i C(m-1, i-1) G_i B(m-i, j-1),
+        G_m = -sum_(j >= 2) F_j B(m, j),
+
+    the second because m! [z^m] f~(g~) = sum_j F_j B(m, j) vanishes for
+    m >= 2.  Undoing the scaling, g_m = G_m / (m! c^m lam^(m-1)).  The
+    cost is O(n^3) integer operations, fewer when f is sparse: zero G_i
+    and zero table entries are skipped.
     """
-    if f.coeffs[0] != 0:
+    fc = f.coeffs
+    if fc[0] != 0:
         raise ValueError("series_revert requires f(0) = 0")
-    if f.order < 1 or f.coeffs[1] == 0:
+    if f.order < 1 or fc[1] == 0:
         raise ValueError("series_revert requires f'(0) != 0")
     n = f.order
-    fp = series_derive(f)
-    # Start exact to order 1 and double the reliable order each round.
-    g = PowerSeries([0, Fraction(1) / f.coeffs[1]], 1)
-    known = 1
-    while known < n:
-        known = min(2 * known, n)
-        gk = PowerSeries(g.coeffs, known)
-        err = series_compose(f.truncate(known), gk) - PowerSeries.identity(known)
-        fpg = series_compose(fp.truncate(min(known, fp.order)), gk)
-        # err always has valuation >= 2, so the quotient never consults the
-        # denominator's top coefficient; padding fpg to full order is safe
-        # even when fp stops one order short of f.
-        fpg = PowerSeries(fpg.coeffs, known)
-        g = gk - _series_div(err, fpg)
-    return PowerSeries(g.coeffs, n)
+    p, q = fc[1].numerator, fc[1].denominator
+    # k! r_k = k! f_k q / p as (num, den) in lowest terms, den > 0.
+    scaled: list[tuple[int, int]] = []
+    fact = 1
+    for k in range(2, n + 1):
+        fact *= k
+        num, den = fact * fc[k].numerator * q, fc[k].denominator * p
+        if den < 0:
+            num, den = -num, -den
+        common = math.gcd(num, den)
+        scaled.append((num // common, den // common))
+    lam = math.lcm(*(den for _, den in scaled))
+    # F_k = (num / den) lam^(k-1), an integer since den divides lam.
+    F = [0, 1] + [
+        num * (lam // den) * lam ** (k - 2) for k, (num, den) in enumerate(scaled, 2)
+    ]
+    # bell[m] lists the nonzero (j, B(m, j)).
+    bell: list[list[tuple[int, int]]] = [[(0, 1)], [(1, 1)]]
+    G = [0, 1]
+    for m in range(2, n + 1):
+        row = [0] * (m + 1)
+        for i in range(1, m):
+            if G[i]:
+                w = math.comb(m - 1, i - 1) * G[i]
+                for j, b in bell[m - i]:
+                    row[j + 1] += w * b
+        row[1] = g_m = -sum(F[j] * row[j] for j in range(2, m + 1) if row[j])
+        G.append(g_m)
+        bell.append([(j, b) for j, b in enumerate(row) if b])
+    out = [Fraction(0)]
+    fact, qm, pm, lam_m = 1, 1, 1, 1
+    for m in range(1, n + 1):
+        fact, qm, pm = fact * m, qm * q, pm * p
+        out.append(Fraction(G[m] * qm, fact * pm * lam_m))
+        lam_m *= lam
+    return PowerSeries(out, n)
 
 
 def series_binomial_pow(f: PowerSeries, e: object) -> PowerSeries:

@@ -170,18 +170,25 @@ def hyp2f1_series(a: Fraction, b: Fraction, c: Fraction, order: int) -> PowerSer
     return PowerSeries(coeffs, order)
 
 
+def _revert_on_cubes(b: Fraction, scale: int, order: int) -> PowerSeries:
+    """The reversion of Y * 2F1(1/3, b; 4/3; scale Y^3) to the given order.
+
+    The 2F1 coefficient of x^k is laid out on the exponent 3k + 1, times
+    scale^k; the slot past the order, if any, is cut by the truncation.
+    """
+    F = hyp2f1_series(Fraction(1, 3), b, Fraction(4, 3), order // 3)
+    coeffs = [Fraction(0)] * (order + 2)
+    coeffs[1::3] = [ck * scale**k for k, ck in enumerate(F.coeffs)]
+    return series_revert(PowerSeries(coeffs, order))
+
+
 def sm_via_hypergeometric(order: int = DEFAULT_ORDER) -> PowerSeries:
     """sm as the reversion of z * 2F1(1/3, 2/3; 4/3; z^3).
 
     The reverted series is the incomplete integral of (1 - t^3)^(-2/3),
     i.e. the inverse function of sm; this route never touches the ODE.
     """
-    F = hyp2f1_series(Fraction(1, 3), Fraction(2, 3), Fraction(4, 3), order // 3)
-    coeffs = [Fraction(0)] * (order + 1)
-    for k, ck in enumerate(F.coeffs):
-        if 3 * k + 1 <= order:
-            coeffs[3 * k + 1] = ck
-    return series_revert(PowerSeries(coeffs, order))
+    return _revert_on_cubes(Fraction(2, 3), 1, order)
 
 
 def weierstrass_P(order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -191,14 +198,7 @@ def weierstrass_P(order: int = DEFAULT_ORDER) -> PowerSeries:
 
 def weierstrass_P_via_hypergeometric(order: int = DEFAULT_ORDER) -> PowerSeries:
     """Same series by reverting Y * 2F1(1/3, 1/2; 4/3; -4 Y^3)."""
-    F = hyp2f1_series(Fraction(1, 3), Fraction(1, 2), Fraction(4, 3), order // 3)
-    coeffs = [Fraction(0)] * (order + 1)
-    scale = Fraction(1)
-    for k, ck in enumerate(F.coeffs):
-        if 3 * k + 1 <= order:
-            coeffs[3 * k + 1] = ck * scale
-        scale *= -4
-    return series_revert(PowerSeries(coeffs, order))
+    return _revert_on_cubes(Fraction(1, 2), -4, order)
 
 
 def dumont_R(order: int = DEFAULT_ORDER) -> PowerSeries:

@@ -115,7 +115,7 @@ def test_criterion_02_fermat_cube_identity():
 
 
 def test_criterion_03_hypergeometric_route_matches_ode():
-    assert sm_via_hypergeometric(40) == dixon_series(40).sm
+    assert sm_via_hypergeometric(120) == dixon_series(120).sm
 
 
 def test_criterion_04_fraction_families(capsys):

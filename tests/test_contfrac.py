@@ -13,6 +13,7 @@ from dixonian.contfrac import (
     JFraction,
     RationalFunction,
     SFraction,
+    _chebyshev,
     contract_s_to_j,
     conrad_j_reference,
     conrad_s_reference,
@@ -86,6 +87,31 @@ def peel_sfraction(series: PowerSeries, depth: int) -> SFraction:
         ds.append(d)
         g = PowerSeries((h - PowerSeries.one(h.order)).coeffs[1:], h.order - 1) / d
     return SFraction(ds=tuple(ds))
+
+
+def chebyshev_fraction(moments, top: int):
+    """Oracle for the narrowed kernel: the Chebyshev algorithm with every
+    moment, mixed moment and coefficient a Fraction."""
+    prev = [Fraction(0)] * (top + 1)
+    row = [Fraction(m) for m in moments[: top + 1]]
+    a = Fraction(0)
+    shift = Fraction(0)
+    k = 0
+    while 2 * k + 1 <= top:
+        c = row[k + 1] / row[k] - shift
+        yield c
+        if 2 * k + 2 > top:
+            return
+        nxt = [Fraction(0)] * (k + 1) + [
+            row[l + 1] - c * row[l] - a * prev[l] for l in range(k + 1, top - k)
+        ]
+        a = nxt[k + 1] / row[k]
+        if a == 0:
+            return
+        yield a
+        shift = row[k + 1] / row[k]
+        prev, row = row, nxt
+        k += 1
 
 
 def nested_jfraction_series(cs, as_, order: int) -> PowerSeries:
@@ -205,6 +231,50 @@ def test_j_family_tables_deep(family):
 def test_s_family_tables_deep(family):
     report = verify_conrad("s", family, 120)
     assert report.ok, report.message
+
+
+@pytest.mark.parametrize("family", sorted(J_FAMILIES))
+def test_chebyshev_matches_fraction_kernel_j(family):
+    moments = family_ogf(family, 80).coeffs
+    values = list(_chebyshev(moments, 79))
+    assert len(values) == 79
+    assert values == list(chebyshev_fraction(moments, 79))
+    assert all(type(v) is int for v in values)
+
+
+@pytest.mark.parametrize("family", sorted(S_FAMILIES))
+def test_chebyshev_matches_fraction_kernel_s(family):
+    moments = family_ogf(family, 60).coeffs
+    values = list(_chebyshev(moments, 60))
+    assert values == list(chebyshev_fraction(moments, 60))
+    assert all(type(v) is int for v in values)
+    ds = sfraction_extract(PowerSeries(moments, 60), 60).ds
+    assert len(ds) == 60 and all(type(d) is int for d in ds)
+
+
+def test_chebyshev_laguerre_moments_stay_ints():
+    # n! are the Laguerre moments: c(n) = 2n + 1, a(n) = n^2.
+    values = list(_chebyshev([math.factorial(n) for n in range(21)], 20))
+    assert values[0::2] == [2 * n + 1 for n in range(10)]
+    assert values[1::2] == [n * n for n in range(1, 11)]
+    assert all(type(v) is int for v in values)
+
+
+@pytest.mark.parametrize(
+    "moments",
+    [
+        [Fraction(1, n + 1) for n in range(21)],  # shifted Legendre: c(n) = 1/2
+        [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5],  # integer moments, rational values
+        [Fraction(4), 2, Fraction(-6, 3), 8, 0, 16, Fraction(1, 2)],
+    ],
+)
+def test_chebyshev_rational_values_stay_exact(moments):
+    top = len(moments) - 1
+    values = list(_chebyshev(moments, top))
+    assert values == list(chebyshev_fraction(moments, top))
+    assert any(type(v) is Fraction for v in values)
+    for v in values:
+        assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
 
 
 def test_fault_injection_is_detected():

@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dixonian.core import (
     BivariatePoly,
     InvalidUrnStateError,
     PowerSeries,
+    _series_div,
     delta_apply,
     format_rational,
     series_binomial_pow,
@@ -98,6 +99,59 @@ def test_revert_moebius():
     assert g == expect
 
 
+def newton_revert(f: PowerSeries) -> PowerSeries:
+    """Oracle for the Bell recurrence: Newton iteration over Fraction.
+
+    g <- g - (f(g) - z) / f'(g) by Horner composition and series division,
+    doubling the number of exact coefficients each round.
+    """
+    n = f.order
+    fp = series_derive(f)
+    g = PowerSeries([0, Fraction(1) / f.coeffs[1]], 1)
+    known = 1
+    while known < n:
+        known = min(2 * known, n)
+        gk = PowerSeries(g.coeffs, known)
+        err = series_compose(f.truncate(known), gk) - PowerSeries.identity(known)
+        fpg = series_compose(fp.truncate(min(known, fp.order)), gk)
+        # err has valuation >= 2, so the quotient never reads fpg's top
+        # coefficient and padding it to full order is safe.
+        g = gk - _series_div(err, PowerSeries(fpg.coeffs, known))
+    return PowerSeries(g.coeffs, n)
+
+
+def test_revert_scaled_denominators():
+    # 2! r_2 = 2/3 and 3! r_3 = 6/5, so the integer scaling is lam = 15.
+    f = PowerSeries([0, 1, Fraction(1, 3), Fraction(1, 5), Fraction(-2, 7)], 4)
+    g = series_revert(f)
+    assert g.coeffs[:4] == (0, 1, Fraction(-1, 3), Fraction(1, 45))
+    assert g == newton_revert(f)
+    assert series_compose(f, g) == PowerSeries.identity(4)
+
+
+def test_revert_negative_rational_lead():
+    f = PowerSeries([0, Fraction(-3, 2), Fraction(1, 4), 0, Fraction(-5, 7), 2], 9)
+    g = series_revert(f)
+    assert g.coefficient(1) == Fraction(-2, 3)
+    assert g == newton_revert(f)
+    assert series_compose(f, g) == PowerSeries.identity(9)
+
+
+def test_revert_order_one():
+    assert series_revert(PowerSeries([0, Fraction(-2, 5)], 1)) == PowerSeries(
+        [0, Fraction(-5, 2)], 1
+    )
+
+
+def test_revert_rejects_bad_series():
+    with pytest.raises(ValueError, match=r"f\(0\) = 0"):
+        series_revert(PowerSeries([1, 1], 3))
+    with pytest.raises(ValueError, match=r"f'\(0\) != 0"):
+        series_revert(PowerSeries([0, 0, 1], 3))
+    with pytest.raises(ValueError, match=r"f'\(0\) != 0"):
+        series_revert(PowerSeries.zero(0))
+
+
 def test_binomial_pow_cube_root():
     # (1 - t^3)^(-1/3) = 1 + t^3/3 + 2 t^6/9 + ...
     f = PowerSeries([1, 0, 0, -1], 9)
@@ -140,6 +194,13 @@ def test_revert_round_trips(f):
     g = series_revert(f)
     assert series_compose(f, g) == PowerSeries.identity(8)
     assert series_revert(g) == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(series(8, root=True))
+def test_revert_matches_newton(f):
+    assume(f.coefficient(1) != 0)
+    assert series_revert(f) == newton_revert(f)
 
 
 @settings(max_examples=40, deadline=None)

@@ -161,8 +161,14 @@ def test_egf_tables_are_thread_safe():
 
 
 def test_hypergeometric_route():
-    sm = sm_via_hypergeometric(40)
-    assert sm == dixon_series(40).sm
+    sm = sm_via_hypergeometric(120)
+    assert sm == dixon_series(120).sm
+
+
+def test_hypergeometric_route_every_order():
+    sm = dixon_series(120).sm
+    for order in range(24, 120):
+        assert sm_via_hypergeometric(order) == sm.truncate(order)
 
 
 def test_hyp2f1_geometric_special_case():
@@ -190,7 +196,7 @@ def test_weierstrass_product_and_odes(pair):
 
 
 def test_weierstrass_hypergeometric_route():
-    assert weierstrass_P_via_hypergeometric(45) == weierstrass_P(45)
+    assert weierstrass_P_via_hypergeometric(90) == weierstrass_P(90)
 
 
 def test_dumont_ratio():
