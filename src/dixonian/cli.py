@@ -15,7 +15,6 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -75,8 +74,7 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     """Resolved global settings.  ``order`` is the last row of a series
     table."""
 
@@ -85,8 +83,7 @@ class Config:
     output_format: str = "text"
 
 
-@dataclass
-class CommandOutput:
+class CommandOutput(NamedTuple):
     exit_code: int
     lines: list[str]
     csv_header: list[str]

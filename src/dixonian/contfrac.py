@@ -26,9 +26,8 @@ taken as printed.  Extraction from the actual series confirms the signs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from dixonian.core import (
     DEFAULT_ORDER,
@@ -67,14 +66,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class JFraction:
+class JFraction(NamedTuple):
     cs: tuple[Fraction | int, ...]
     as_: tuple[Fraction | int, ...]
 
 
-@dataclass(frozen=True)
-class SFraction:
+class SFraction(NamedTuple):
     ds: tuple[Fraction | int, ...]
 
 
@@ -335,8 +332,7 @@ def conrad_s_reference(family: str, max_k: int) -> SFraction:
     return SFraction(ds=tuple(Fraction(d_fn(k)) for k in range(1, max_k + 1)))
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     ok: bool
     message: str
 
@@ -422,8 +418,7 @@ def _convergent(steps: Sequence[tuple[_Poly, _Poly]], before: _Poly) -> Rational
     return RationalFunction(num=tuple(num), den=tuple(den))
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(NamedTuple):
     """An exact num/den pair of polynomials (coefficient lists, low first)."""
 
     num: tuple[Fraction, ...]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, mul
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -441,6 +442,57 @@ class BivariatePoly:
         return "BivariatePoly(" + " + ".join(parts) + ")"
 
 
+def _delta_step(row: list[int], rule) -> list[int]:
+    """delta on a homogeneous polynomial of degree D, held as the dense
+    row ``row[j] = [x^j y^(D-j)]``; returns the row of degree D + s.
+
+    Term x^j y^(D-j) moves to x^(j-a) with weight j and to x^(j+s+b) with
+    weight D - j.  A nonzero entry with 0 < j < a or 0 < D - j < b would
+    need a negative exponent, and raises :class:`InvalidUrnStateError`.
+
+    The two moves differ by g = a + b + s, so the entries with j = r mod g
+    land on the class r - a mod g, and each class is stepped as its own
+    slice.  A history of one monomial fills a single class (one entry in
+    three under M12), so the empty classes cost a scan and nothing more.
+    """
+    a, b, s = rule.a, rule.b, rule.s
+    d = len(row) - 1
+    if a > 1:
+        for j in range(1, min(a, d + 1)):
+            if row[j]:
+                raise InvalidUrnStateError(
+                    f"delta on x^{j} y^{d - j} gives exponent pair ({j - a}, {d - j + s + a})"
+                )
+    if b > 1:
+        for m in range(1, min(b, d + 1)):
+            if row[d - m]:
+                raise InvalidUrnStateError(
+                    f"delta on x^{d - m} y^{m} gives exponent pair ({d - m + s + b}, {m - b})"
+                )
+    g = a + b + s
+    out = [0] * (d + s + 1)
+    for r in range(min(g, d + 1)):
+        sub = row[r::g]
+        if not any(sub):
+            continue
+        # Class r lands on rp, rp + g, ...: the x move of j = r + g i on
+        # slot i (slot i - 1 when r < a), its y move one slot later.
+        if r >= a:
+            xs = list(map(mul, range(r, d + 1, g), sub))
+            ys = [0]
+            rp = r - a
+        else:
+            xs = list(map(mul, range(r + g, d + 1, g), sub[1:]))
+            ys = []
+            rp = r - a + g
+        ys += map(mul, range(d - r, b - 1, -g), sub)
+        size = (d + s - rp) // g + 1
+        xs += [0] * (size - len(xs))
+        ys += [0] * (size - len(ys))
+        out[rp::g] = map(add, xs, ys)
+    return out
+
+
 def delta_apply(p: BivariatePoly, rule) -> BivariatePoly:
     """One delta step:  x^{1-a} y^{s+a} d/dx + x^{s+b} y^{1-b} d/dy, monomial-wise.
 
@@ -449,37 +501,27 @@ def delta_apply(p: BivariatePoly, rule) -> BivariatePoly:
     negative exponent on a term with nonzero coefficient means the urn left
     its reachable state space, which is a hard error by contract.
 
+    delta raises the total degree by s, so p is split into its homogeneous
+    parts, each part is stepped as a dense row by :func:`_delta_step`, and
+    the rows are reassembled.  Rows are dense: a lone monomial of degree D
+    allocates D + 1 slots, so one of degree 10^6 costs 10^6 of them.
+
     Read on exponent pairs, this is the weighted quadrant walk with steps
     (-a, s + a) and (s + b, -b), each weighted by the exponent it lowers;
-    the urn tables and the free-slot parity walk both run through it.
+    the urn tables and the free-slot parity walk run through the same step.
     """
-    a, b, s = rule.a, rule.b, rule.s
-    out: dict[tuple[int, int], int] = {}
+    rows: dict[int, list[int]] = {}
     for (pe, qe), c in p._terms.items():
-        if pe:
-            np_, nq = pe - a, qe + s + a
-            if np_ < 0 or nq < 0:
-                raise InvalidUrnStateError(
-                    f"delta on x^{pe} y^{qe} gives exponent pair ({np_}, {nq})"
-                )
-            k = (np_, nq)
-            nc = out.get(k, 0) + c * pe
-            if nc:
-                out[k] = nc
-            else:
-                del out[k]
-        if qe:
-            np_, nq = pe + s + b, qe - b
-            if np_ < 0 or nq < 0:
-                raise InvalidUrnStateError(
-                    f"delta on x^{pe} y^{qe} gives exponent pair ({np_}, {nq})"
-                )
-            k = (np_, nq)
-            nc = out.get(k, 0) + c * qe
-            if nc:
-                out[k] = nc
-            else:
-                del out[k]
+        d = pe + qe
+        if d not in rows:
+            rows[d] = [0] * (d + 1)
+        rows[d][pe] = c
+    out: dict[tuple[int, int], int] = {}
+    for d, row in rows.items():
+        top = d + rule.s
+        for j, c in enumerate(_delta_step(row, rule)):
+            if c:
+                out[(j, top - j)] = c
     result = BivariatePoly()
     result._terms = out
     return result

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from dixonian.core import DEFAULT_ORDER, PowerSeries, series_revert
 
@@ -38,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DixonPair:
+class DixonPair(NamedTuple):
     """The truncated sm, cm series and their hyperbolic companions."""
 
     sm: PowerSeries

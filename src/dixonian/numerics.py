@@ -4,11 +4,12 @@ Every routine returns a :class:`NumericValue`, a number together with a
 rigorously propagated error bound.  The period pi3 comes from an AGM and is
 checked once per process against quadrature of its defining integral.
 sm and cm never need it: their argument is halved until the Taylor
-series converges fast, the series is summed from the exact EGF tables
-with a tail bounded by a Cauchy majorant, and Dixon's duplication
-formulas double it back, all in interval arithmetic, so the bound is the
-final interval's radius.  The domain check uses a rational bound on
-pi3/3, and no precision is out of reach.
+series converges fast, and the series is summed from the exact EGF
+tables in fixed-point integers with a counted rounding error.  Only the
+two finished sums enter interval arithmetic, where a Cauchy majorant
+bounds the tail and Dixon's duplication formulas double the argument
+back, so the bound is the final interval's radius.  The domain check
+uses a rational bound on pi3/3, and no precision is out of reach.
 
 Each routine imports mpmath where it runs, so the exact parts of the
 package, which import this module, start without loading it.
@@ -18,10 +19,9 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from dixonian.functions import dixon_egf_integers
 
@@ -41,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NumericValue:
+class NumericValue(NamedTuple):
     """A computed value with an explicit absolute error bound."""
 
     value: mpmath.mpf
@@ -111,7 +110,10 @@ def tanh_sinh_quad(f, a: object, b: object, dps: int = 30) -> NumericValue:
     The substitution x = tanh((pi/2) sinh u) pushes the endpoints to
     infinity, so integrable endpoint singularities cost nothing.  Levels
     are refined until two successive trapezoid sums agree; the bound is
-    their difference plus rounding slack.
+    their difference plus rounding slack.  Halving the step keeps every
+    node of the level before, so each level adds only its odd-index nodes
+    to the previous sum, and each node takes sinh, cosh, tanh and sech^2
+    from two exponentials.
 
     Working precision is three times the target: abscissas saturate at
     distance ~eps_work from the endpoints, so an algebraic singularity as
@@ -127,34 +129,43 @@ def tanh_sinh_quad(f, a: object, b: object, dps: int = 30) -> NumericValue:
         stop_eps = mpf(10) ** (-(dps + 8))
         half_pi = mp.pi / 2
 
-        def row_sum(h: mpmath.mpf) -> mpmath.mpf:
-            total = mpf(0)
-            j = 0
+        def add_nodes(h: mpmath.mpf, j: int, step: int, total: mpmath.mpf) -> mpmath.mpf:
+            """total plus the terms at u = j h, (j + step) h, ..., until
+            the abscissas reach the endpoints or the terms fall below
+            stop_eps."""
             while True:
-                u = j * h
-                s = mp.sinh(u)
-                t = mp.tanh(half_pi * s)
-                w = half_pi * mp.cosh(u) / mp.cosh(half_pi * s) ** 2
+                # sinh u, cosh u from e^u; tanh v, sech^2 v from e^v, where
+                # v = (pi/2) sinh u.
+                eu = mp.exp(j * h)
+                eu_inv = 1 / eu
+                ev = mp.exp(half_pi * (eu - eu_inv) / 2)
+                ev_inv = 1 / ev
+                t = (ev - ev_inv) / (ev + ev_inv)
+                w = half_pi * (eu + eu_inv) * 2 / (ev + ev_inv) ** 2
                 xp = c1 + c2 * t
                 xm = c1 - c2 * t
                 if xp >= B or xm <= A:
-                    break
+                    return total
                 if j == 0:
                     term = c2 * w * f(xp)
                 else:
                     term = c2 * w * (f(xp) + f(xm))
                 total += term
                 if j > 8 and abs(term) < stop_eps * (1 + abs(total)):
-                    break
-                j += 1
-            return total * h
+                    return total
+                j += step
 
         prev = None
+        total = mpf(0)
         value = mpf(0)
         diff = mpf("inf")
         for level in range(2, 14):
             h = mpf(1) / 2**level
-            value = row_sum(h)
+            if prev is None:
+                total = add_nodes(h, 0, 1, total)
+            else:
+                total = add_nodes(h, 1, 2, total)
+            value = total * h
             if prev is not None:
                 diff = abs(value - prev)
                 if diff < eps * (1 + abs(value)):
@@ -260,22 +271,42 @@ def _exact(x: object) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a real number")
 
 
-def _taylor(table: Sequence[int], start: int, w3, top: int):
-    """Interval sum of table[n] w3^((n - start)/3) / n! over n = start mod 3
-    up to top, by Horner's rule; start is 0 or 1, so start! = 1."""
-    from mpmath import iv
+def _taylor(table: Sequence[int], start: int, num: int, den: int, top: int,
+            prec: int) -> tuple[int, int]:
+    """Fixed-point sum of table[n] w^(n - start) / n! over n = start mod 3
+    up to top, for the exact w = num / den with |w| < 1; start is 0 or 1,
+    so start! = 1.
 
+    Horner's rule runs on integers scaled by 2^prec: each step multiplies
+    by w^3 / ((n + 1)(n + 2)(n + 3)) with one floor division and adds the
+    next scaled table entry exactly.  Returns (S, e) with
+    |2^prec sum - S| <= e, in units of 2^-prec.
+
+    Proof of the radius: let E be the error carried into a step.  The
+    step multiplies it by |w|^3 / ((n + 1)(n + 2)(n + 3)) < 1/6 and its
+    floor adds f in [0, 1), with f = 0 exactly when the division has no
+    remainder.  So |E| < 1 + 1/6 + 1/36 + ... = 6/5 after every step,
+    and e = 2 bounds it; when every division is exact, E = 0 and e = 0.
+    """
+    num3, den3 = num**3, den**3
     n = start + 3 * ((top - start) // 3)
-    acc = iv.mpf(table[n])
+    acc = table[n] << prec
+    exact = True
     while n > start:
         n -= 3
-        acc = acc * w3 / ((n + 1) * (n + 2) * (n + 3)) + table[n]
-    return acc
+        acc, rem = divmod(acc * num3, den3 * ((n + 1) * (n + 2) * (n + 3)))
+        exact = exact and not rem
+        acc += table[n] << prec
+    return acc, 0 if exact else 2
 
 
 def _halve_and_double(z: Fraction, k: int, prec: int):
     """Intervals around (sm(z), cm(z)) from the series at w = z / 2^k and
-    k doublings, all in interval arithmetic at prec bits.
+    k doublings, at prec bits.
+
+    The two Taylor sums run in fixed point on the exact w (see
+    :func:`_taylor`); only the finished sums enter interval arithmetic,
+    where the product by w, the tail and the doublings stay.
 
     The system sm' = cm^2, cm' = -sm^2 is dominated coefficientwise by
     Y' = Y^2, Y(0) = 1, that is Y = 1/(1 - z) (Cauchy's majorant method),
@@ -300,18 +331,28 @@ def _halve_and_double(z: Fraction, k: int, prec: int):
         e = den.bit_length() - 1 - abs(num).bit_length()
         top = (prec + 2) // e + 1
         sm_table, cm_table = dixon_egf_integers(top)
+        # Sixteen guard bits keep the sums' radius of 2 units far below an
+        # ulp of the prec-bit intervals they enter, so that rounding them
+        # outward rarely spans two ulps.
+        bits = prec + 16
+
+        def fixed(table: Sequence[int], start: int):
+            total, radius = _taylor(table, start, num, den, top, bits)
+            return iv.mpf([total - radius, total + radius]) / (1 << bits)
+
         w = iv.mpf(num) / den
-        w3 = w**3
         r = (abs(w) ** (top + 1) / (1 - abs(w))).b
         tail = iv.mpf([-r, r])
-        s = w * _taylor(sm_table, 1, w3, top) + tail
-        c = _taylor(cm_table, 0, w3, top) + tail
+        s = w * fixed(sm_table, 1) + tail
+        c = fixed(cm_table, 0) + tail
+        # Interval constants, so that no doubling converts an int.
+        zero, one, three = iv.mpf(0), iv.mpf(1), iv.mpf(3)
         for _ in range(k):
-            s3, c3 = s**3, c**3
-            d = c * (1 + s3)
-            if not d > 0:
+            s3, c3 = s**three, c**three
+            d = c * (one + s3)
+            if not d > zero:
                 raise ValueError("argument too close to the pole at -pi3/3")
-            s, c = s * (1 + c3) / d, (c3 - s3) / d
+            s, c = s * (one + c3) / d, (c3 - s3) / d
         return s, c
     finally:
         iv.prec = saved

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from dixonian.contfrac import jfraction_to_series
 from dixonian.core import PowerSeries, series_mul
-from dixonian.urn import BRUTE_CAP_ENV, M12, brute_cap, history_polynomials
+from dixonian.urn import BRUTE_CAP_ENV, M12, brute_cap, history_rows
 
 __all__ = [
     "VALLEY",
@@ -178,8 +178,7 @@ def _placements(
 # -- increasing binary trees ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     value: int
     left: "TreeNode | None"
     right: "TreeNode | None"
@@ -300,13 +299,13 @@ def parity_class_counts_dp(n: int) -> tuple[int, int]:
     X needs every leftover slot at odd depth, Y at even depth.  With x
     counting even slots and y odd ones, the walk is the sacrificial urn
     grown from one x ball, so the pair is read off delta^n[x] as the
-    coefficients of y^(n+1) and x^(n+1).  This route is independent of
-    any permutation scan.
+    coefficients of y^(n+1) and x^(n+1), the two ends of its row.  This
+    route is independent of any permutation scan.
     """
     if n < 0:
         raise ValueError("negative sizes make no sense")
-    slots = history_polynomials(M12, 1, 0, n)[-1]
-    return slots.coefficient(0, n + 1), slots.coefficient(n + 1, 0)
+    slots = history_rows(M12, 1, 0, n)[-1]
+    return slots[0], slots[-1]
 
 
 def parity_class_members(which: str, n: int) -> list[tuple[int, ...]]:

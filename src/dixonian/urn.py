@@ -15,10 +15,9 @@ import math
 import os
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
-from dixonian.core import BivariatePoly, PowerSeries, delta_apply
+from dixonian.core import BivariatePoly, PowerSeries, _delta_step
 from dixonian.numerics import abelian_I, eval_cmh, eval_smh
 
 __all__ = [
@@ -29,13 +28,13 @@ __all__ = [
     "DEFAULT_BRUTE_CAP",
     "brute_cap",
     "enumerate_histories",
+    "history_rows",
     "history_polynomials",
     "history_count_table",
     "history_counts",
     "t23_opposite_counts",
     "xi_series",
     "ternary_path_counts",
-    "yule_rhs",
     "yule_rk4",
     "yule_closed_form",
     "yule_size_law",
@@ -49,7 +48,6 @@ BRUTE_CAP_ENV = "DIXONIAN_BRUTE_CAP"
 DEFAULT_BRUTE_CAP = 9
 
 
-@dataclass(frozen=True)
 class UrnRule:
     """Replacement matrix of a balanced two-colour urn, in (a, b, s) form.
 
@@ -59,15 +57,29 @@ class UrnRule:
     same total of p + q + n s balls.
     """
 
-    a: int
-    b: int
-    s: int
+    __slots__ = ("a", "b", "s")
 
-    def __post_init__(self) -> None:
-        if min(self.a, self.b) < 1:
+    def __init__(self, a: int, b: int, s: int) -> None:
+        if min(a, b) < 1:
             raise ValueError("each drawn colour must lose at least one ball")
-        if self.s < 1:
+        if s < 1:
             raise ValueError("only strictly growing balanced urns are modelled")
+        for name, value in (("a", a), ("b", b), ("s", s)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("an UrnRule is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UrnRule):
+            return NotImplemented
+        return (self.a, self.b, self.s) == (other.a, other.b, other.s)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.s))
+
+    def __repr__(self) -> str:
+        return f"UrnRule(a={self.a}, b={self.b}, s={self.s})"
 
     @property
     def matrix(self) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -92,6 +104,24 @@ T23 = UrnRule(a=2, b=3, s=1)
 # -- history tables through the operator ------------------------------
 
 
+def history_rows(rule: UrnRule, p: int, q: int, n_max: int) -> list[list[int]]:
+    """delta^n[x^p y^q] for n = 0 .. n_max, each as a dense row.
+
+    Balance makes every history polynomial homogeneous, of degree
+    D = p + q + n s, so the n-th entry is the list whose j-th item is the
+    coefficient of x^j y^(D-j): the number of length-n histories that
+    end with j balls of the first colour.
+    """
+    if p < 0 or q < 0 or p + q == 0:
+        raise ValueError("the urn needs a nonempty starting configuration")
+    row = [0] * (p + q + 1)
+    row[p] = 1
+    rows = [row]
+    for _ in range(n_max):
+        rows.append(_delta_step(rows[-1], rule))
+    return rows
+
+
 def history_polynomials(
     rule: UrnRule, p: int, q: int, n_max: int
 ) -> list[BivariatePoly]:
@@ -101,12 +131,10 @@ def history_polynomials(
     histories that end with j balls of the first colour and m of the
     second.
     """
-    if p < 0 or q < 0 or p + q == 0:
-        raise ValueError("the urn needs a nonempty starting configuration")
-    polys = [BivariatePoly.monomial(1, p, q)]
-    for _ in range(n_max):
-        polys.append(delta_apply(polys[-1], rule))
-    return polys
+    return [
+        BivariatePoly({(j, len(row) - 1 - j): c for j, c in enumerate(row)})
+        for row in history_rows(rule, p, q, n_max)
+    ]
 
 
 def history_count_table(
@@ -114,7 +142,10 @@ def history_count_table(
 ) -> list[dict[int, int]]:
     """History counts for every length 0 .. n_max, keyed by the final
     number of x balls.  The y count is redundant under balance."""
-    return [poly.collect_x() for poly in history_polynomials(rule, p, q, n_max)]
+    return [
+        {j: c for j, c in enumerate(row) if c}
+        for row in history_rows(rule, p, q, n_max)
+    ]
 
 
 def history_counts(rule: UrnRule, p: int, q: int, n: int) -> dict[int, int]:
@@ -128,10 +159,8 @@ def t23_opposite_counts(nu_max: int) -> list[int]:
     These grow as (3 nu + 1)! 2^(nu + 1) times the EGF coefficients of
     smh * cmh, which is what the tests pin them against.
     """
-    polys = history_polynomials(T23, 2, 0, 3 * nu_max + 1)
-    return [
-        polys[3 * nu + 1].coefficient(0, 3 * nu + 3) for nu in range(nu_max + 1)
-    ]
+    rows = history_rows(T23, 2, 0, 3 * nu_max + 1)
+    return [rows[3 * nu + 1][0] for nu in range(nu_max + 1)]
 
 
 # -- brute-force word enumeration --------------------------------------
@@ -223,16 +252,12 @@ def ternary_path_counts(nu_max: int) -> list[int]:
 # -- the Yule embedding -------------------------------------------------
 
 
-def yule_rhs(x: float, y: float) -> tuple[float, float]:
-    """Drift of the normalized two-type Yule composition."""
-    return (y * y - x, x * x - y)
-
-
 def yule_rk4(
     steps: int, checkpoints: Sequence[float], t_max: float = 2.0
 ) -> dict[float, tuple[float, float]]:
     """Classical fixed-step Runge-Kutta for X' = Y^2 - X, Y' = X^2 - Y
-    from (0, 1), reporting the state at each checkpoint.
+    from (0, 1), reporting the state at each checkpoint.  The drift of the
+    normalized two-type Yule composition is written out in each stage.
 
     Checkpoints must sit exactly on the step grid so the comparison with
     the closed form carries no interpolation error.
@@ -251,10 +276,13 @@ def yule_rk4(
     if 0 in want:
         out[want[0]] = (x, y)
     for i in range(1, steps + 1):
-        k1x, k1y = yule_rhs(x, y)
-        k2x, k2y = yule_rhs(x + 0.5 * h * k1x, y + 0.5 * h * k1y)
-        k3x, k3y = yule_rhs(x + 0.5 * h * k2x, y + 0.5 * h * k2y)
-        k4x, k4y = yule_rhs(x + h * k3x, y + h * k3y)
+        k1x, k1y = y * y - x, x * x - y
+        sx, sy = x + 0.5 * h * k1x, y + 0.5 * h * k1y
+        k2x, k2y = sy * sy - sx, sx * sx - sy
+        sx, sy = x + 0.5 * h * k2x, y + 0.5 * h * k2y
+        k3x, k3y = sy * sy - sx, sx * sx - sy
+        sx, sy = x + h * k3x, y + h * k3y
+        k4x, k4y = sy * sy - sx, sx * sx - sy
         x += h * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
         y += h * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
         if i in want:

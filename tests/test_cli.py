@@ -376,3 +376,13 @@ def test_exact_subcommands_never_load_mpmath(run_fresh):
     assert run_fresh(_loaded_after("verify yule")) == ["mpmath"]
     assert run_fresh(_loaded_after("series sm --order 3 --format json")) == ["json"]
     assert run_fresh(_loaded_after("series sm --order 3 --format csv")) == ["csv"]
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect(run_fresh):
+    # The records are NamedTuples and slots classes, so a cold start
+    # skips dataclasses and the inspect module it pulls in.
+    code = (
+        "import sys, dixonian.cli\n"
+        "print(*[m for m in ('dataclasses', 'inspect') if m in sys.modules] or ['-'])"
+    )
+    assert run_fresh(code) == ["-"]

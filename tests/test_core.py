@@ -228,6 +228,37 @@ def poly_strategy():
     return st.dictionaries(term, st.integers(-5, 5), max_size=5).map(BivariatePoly)
 
 
+def delta_apply_dict(p, rule):
+    """The delta step monomial by monomial over an exponent-keyed dict:
+    the oracle for the row-wise step."""
+    a, b, s = rule.a, rule.b, rule.s
+    out: dict = {}
+    for (pe, qe), c in p.terms.items():
+        if pe:
+            np_, nq = pe - a, qe + s + a
+            if np_ < 0 or nq < 0:
+                raise InvalidUrnStateError(
+                    f"delta on x^{pe} y^{qe} gives exponent pair ({np_}, {nq})"
+                )
+            out[(np_, nq)] = out.get((np_, nq), 0) + c * pe
+        if qe:
+            np_, nq = pe + s + b, qe - b
+            if np_ < 0 or nq < 0:
+                raise InvalidUrnStateError(
+                    f"delta on x^{pe} y^{qe} gives exponent pair ({np_}, {nq})"
+                )
+            out[(np_, nq)] = out.get((np_, nq), 0) + c * qe
+    return BivariatePoly(out)
+
+
+# x^3 - y^3 and x^6 - y^6 are first integrals of the M12 and T23 flows, so
+# delta sends them to zero and their multiples make terms cancel.
+INVARIANTS = (
+    (RULE_M12, BivariatePoly({(3, 0): 1, (0, 3): -1})),
+    (RULE_T23, BivariatePoly({(6, 0): 1, (0, 6): -1})),
+)
+
+
 def test_delta_basic_values():
     x = BivariatePoly.monomial(1, 1, 0)
     xy2 = BivariatePoly.monomial(1, 1, 2)
@@ -280,3 +311,41 @@ def test_delta_leibniz_on_monomials(p1, q1, p2, q2):
     lhs = delta_apply(mono_mul(f, g), RULE_M12)
     rhs = mono_mul(delta_apply(f, RULE_M12), g) + mono_mul(f, delta_apply(g, RULE_M12))
     assert lhs == rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 7), st.integers(0, 7)), st.integers(-3, 3), max_size=8
+    ).map(BivariatePoly),
+    st.integers(-2, 2),
+    st.sampled_from(INVARIANTS),
+)
+def test_delta_rows_match_dict_oracle(p, k, rule_and_invariant):
+    # Mixed degrees, and (through the invariant) terms that cancel in the
+    # image; a polynomial that leaves the state space must raise on both.
+    rule, invariant = rule_and_invariant
+    p = p + invariant.scale(k)
+    try:
+        want = delta_apply_dict(p, rule)
+    except InvalidUrnStateError:
+        with pytest.raises(InvalidUrnStateError):
+            delta_apply(p, rule)
+        return
+    assert delta_apply(p, rule) == want
+
+
+def test_delta_kills_the_invariants():
+    for rule, invariant in INVARIANTS:
+        assert delta_apply_dict(invariant, rule).is_zero()
+        assert delta_apply(invariant, rule).is_zero()
+
+
+@pytest.mark.parametrize("p, q", [(1, 0), (0, 1), (1, 1), (1, 2), (3, 2), (0, 2)])
+def test_delta_dead_state_messages_match_oracle(p, q):
+    mono = BivariatePoly.monomial(1, p, q)
+    with pytest.raises(InvalidUrnStateError) as want:
+        delta_apply_dict(mono, RULE_T23)
+    with pytest.raises(InvalidUrnStateError) as got:
+        delta_apply(mono, RULE_T23)
+    assert str(got.value) == str(want.value)

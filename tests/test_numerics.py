@@ -157,6 +157,40 @@ def test_taylor_sum_matches_halving():
                 assert gap <= v.error_bound + mpf("1e-10"), f"{fn.__name__}({z}): routes disagree"
 
 
+@pytest.mark.parametrize("prec", [8, 24, 64])
+def test_fixed_point_taylor_sum_is_within_its_radius(prec):
+    # The fixed-point Horner sum against the same sum in exact rationals:
+    # off by at most its radius (and below the 6/5 units of its proof),
+    # with radius 0 exactly when every scaled Horner value is an integer,
+    # that is, when every division was exact.
+    sm_table, cm_table = dixon_egf_integers(40)
+    radii = set()
+    for num, den in ((1, 7), (-1, 7), (5, 16), (-5, 16), (0, 3)):
+        w = Fraction(num, den)
+        for table, start in ((sm_table, 1), (cm_table, 0)):
+            for top in (start, start + 3, 12, 40):
+                total, radius = numerics._taylor(table, start, num, den, top, prec)
+                n = start + 3 * ((top - start) // 3)
+                exact = Fraction(table[n] << prec)
+                integral = True
+                while n > start:
+                    n -= 3
+                    exact = exact * w**3 / ((n + 1) * (n + 2) * (n + 3)) + (table[n] << prec)
+                    integral = integral and exact.denominator == 1
+                err = abs(exact - total)
+                assert err <= radius and err < Fraction(6, 5), (w, start, top)
+                assert (radius == 0) == integral, (w, start, top)
+                radii.add(radius)
+    assert radii == {0, 2}
+
+
+def test_tanh_sinh_reproduces_pi3_within_its_bound():
+    for dps in (15, 25, 40):
+        q = tanh_sinh_quad(lambda t: (1 - t**3) ** (mpf(-2) / 3), 0, 1, dps=dps)
+        with mp.workdps(dps + 20):
+            assert abs(3 * q.value - numerics._pi3_agm(dps)) <= 3 * q.error_bound
+
+
 def test_tail_majorant_premise():
     # The tail bound |w|^(N+1) / (1 - |w|) rests on |[z^n] sm| <= 1 and
     # |[z^n] cm| <= 1, which the majorant Y' = Y^2, Y(0) = 1 promises;

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_core import delta_apply_dict
 
 from dixonian.core import BivariatePoly, InvalidUrnStateError, delta_apply
+from dixonian.permutations import parity_class_counts_dp
 from dixonian.functions import dixon_egf_integers, dixon_series, weierstrass_P
 from dixonian.urn import (
     BRUTE_CAP_ENV,
@@ -22,6 +24,7 @@ from dixonian.urn import (
     history_counts,
     history_egf_partial,
     history_polynomials,
+    history_rows,
     is_unimodal,
     t23_opposite_counts,
     ternary_path_counts,
@@ -47,6 +50,9 @@ def test_rule_shapes_and_validation():
         UrnRule.from_matrix(((-1, 2), (3, -1)))
     with pytest.raises(ValueError):
         UrnRule.from_matrix(((1, 0), (2, -1)))
+    with pytest.raises(AttributeError):
+        M12.a = 2
+    assert M12 == UrnRule(1, 1, 1) != T23 and hash(M12) == hash(UrnRule(1, 1, 1))
 
 
 def test_operator_iterates_from_one_ball():
@@ -60,6 +66,45 @@ def test_operator_iterates_from_one_ball():
 def test_starting_configuration_must_be_nonempty():
     with pytest.raises(ValueError):
         history_polynomials(M12, 0, 0, 3)
+    with pytest.raises(ValueError):
+        history_rows(M12, 0, 0, 3)
+    with pytest.raises(ValueError):
+        history_rows(T23, -1, 2, 3)
+
+
+def dict_histories(rule, p, q, n_max):
+    """delta^n[x^p y^q] for n = 0 .. n_max through the dict oracle."""
+    polys = [BivariatePoly.monomial(1, p, q)]
+    for _ in range(n_max):
+        polys.append(delta_apply_dict(polys[-1], rule))
+    return polys
+
+
+@pytest.mark.parametrize("rule", [M12, T23], ids=["M12", "T23"])
+@pytest.mark.parametrize("p, q", [(1, 0), (0, 1), (1, 1), (2, 0)])
+def test_history_rows_match_dict_oracle(rule, p, q):
+    # Under T23 the starts x, y and xy die at the first draw; x^2 lives on.
+    try:
+        want = dict_histories(rule, p, q, 30)
+    except InvalidUrnStateError:
+        with pytest.raises(InvalidUrnStateError):
+            history_rows(rule, p, q, 30)
+        return
+    rows = history_rows(rule, p, q, 30)
+    assert len(rows) == 31
+    for n, (row, poly) in enumerate(zip(rows, want)):
+        d = p + q + n * rule.s
+        assert len(row) == d + 1
+        assert {(j, d - j): c for j, c in enumerate(row) if c} == poly.terms
+    assert history_polynomials(rule, p, q, 30) == want
+
+
+def test_parity_walk_matches_dict_oracle():
+    polys = dict_histories(M12, 1, 0, 60)
+    for n, poly in enumerate(polys):
+        assert parity_class_counts_dp(n) == (
+            poly.coefficient(0, n + 1), poly.coefficient(n + 1, 0)
+        )
 
 
 # -- brute enumeration --------------------------------------------------
@@ -231,6 +276,27 @@ def test_rk4_agrees_with_closed_form():
         cx, cy = yule_closed_form(t)
         assert abs(x - cx) < 1e-9
         assert abs(y - cy) < 1e-9
+
+
+def test_rk4_matches_drift_function_oracle():
+    # The drift written out in each stage gives the same floats, bit for
+    # bit, as a classical RK4 that calls a drift function.
+    def drift(x, y):
+        return (y * y - x, x * x - y)
+
+    steps, h = 800, 2.0 / 800
+    x, y = 0.0, 1.0
+    want = {}
+    for i in range(1, steps + 1):
+        k1x, k1y = drift(x, y)
+        k2x, k2y = drift(x + 0.5 * h * k1x, y + 0.5 * h * k1y)
+        k3x, k3y = drift(x + 0.5 * h * k2x, y + 0.5 * h * k2y)
+        k4x, k4y = drift(x + h * k3x, y + h * k3y)
+        x += h * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
+        y += h * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
+        if i in (200, 800):
+            want[i / 400] = (x, y)
+    assert yule_rk4(steps, (0.5, 2.0)) == want
 
 
 def test_rk4_rejects_off_grid_checkpoints():
