@@ -3,7 +3,6 @@ combinatorial models they enumerate, in exact rational arithmetic."""
 
 from dixonian.core import (
     DEFAULT_ORDER,
-    BivariatePoly,
     InvalidUrnStateError,
     PowerSeries,
     delta_apply,
@@ -19,7 +18,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_ORDER",
-    "BivariatePoly",
     "InvalidUrnStateError",
     "PowerSeries",
     "delta_apply",

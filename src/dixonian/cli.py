@@ -29,7 +29,7 @@ from dixonian.contfrac import (
 )
 from dixonian.core import PowerSeries, series_compose, series_derive
 from dixonian.functions import dixon_egf_integers, dixon_egf_table, dixon_series
-from dixonian.numerics import NumericValue, eval_cmh, eval_smh, pi3
+from dixonian.numerics import NumericValue, _decimal, eval_cmh, eval_smh, pi3
 from dixonian.permutations import (
     andre_polynomials,
     andre_weights,
@@ -51,7 +51,6 @@ from dixonian.urn import (
 )
 
 ORDER_ENV = "DIXONIAN_ORDER"
-PRECISION_ENV = "DIXONIAN_PRECISION"
 FORMAT_ENV = "DIXONIAN_FORMAT"
 
 _FORMATS = ("text", "json", "csv")
@@ -63,8 +62,8 @@ CSV columns:
   enumerate: item
   eval:      expr, argument, value, error_bound
 
-Environment overrides (flags win): DIXONIAN_ORDER, DIXONIAN_PRECISION,
-DIXONIAN_FORMAT, DIXONIAN_BRUTE_CAP.
+Environment overrides (flags win): DIXONIAN_ORDER, DIXONIAN_FORMAT,
+DIXONIAN_BRUTE_CAP.
 
 Exit codes: 0 success, 1 verification or domain failure, 2 usage error.
 """
@@ -72,15 +71,6 @@ Exit codes: 0 success, 1 verification or domain failure, 2 usage error.
 
 class UsageError(Exception):
     pass
-
-
-class Config(NamedTuple):
-    """Resolved global settings.  ``order`` is the last row of a series
-    table."""
-
-    order: int = 60
-    precision: int = 30
-    output_format: str = "text"
 
 
 class CommandOutput(NamedTuple):
@@ -94,44 +84,38 @@ class CommandOutput(NamedTuple):
 # -- configuration ---------------------------------------------------------
 
 
-def _resolve_int(flag: int | None, env_name: str, default: int) -> int:
-    if flag is not None:
-        return flag
-    raw = os.environ.get(env_name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{env_name} must be an integer, got {raw!r}") from None
-
-
-def resolve_config(args: argparse.Namespace) -> Config:
-    order = _resolve_int(args.order, ORDER_ENV, 60)
-    precision = _resolve_int(args.precision, PRECISION_ENV, 30)
+def resolve_format(args: argparse.Namespace) -> str:
+    """The output format, from --format or else the environment.  A
+    malformed brute-force cap in the environment is refused here too,
+    before any subcommand runs."""
     fmt = args.format or os.environ.get(FORMAT_ENV) or "text"
     if fmt not in _FORMATS:
         raise UsageError(f"format must be one of {', '.join(_FORMATS)}")
-    if order < 0:
-        raise UsageError("order must be nonnegative")
-    if precision < 10:
-        raise UsageError("precision must be at least 10")
     try:
         brute_cap()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return Config(order=order, precision=precision, output_format=fmt)
+    return fmt
 
 
 # -- series ----------------------------------------------------------------
 
 
-def cmd_series(args: argparse.Namespace, config: Config) -> CommandOutput:
+def cmd_series(args: argparse.Namespace) -> CommandOutput:
+    order = args.order
+    if order is None:
+        raw = os.environ.get(ORDER_ENV, "60")
+        try:
+            order = int(raw)
+        except ValueError:
+            raise UsageError(f"{ORDER_ENV} must be an integer, got {raw!r}") from None
+    if order < 0:
+        raise UsageError("order must be nonnegative")
     name = args.function
     lines = []
     rows = []
-    for n, k in enumerate(dixon_egf_table(name, config.order)):
-        scaled = str(k)
+    for n, k in enumerate(dixon_egf_table(name, order)):
+        scaled = _decimal(k)
         if k == 0:
             mid = "0"
         elif n == 0:
@@ -143,7 +127,7 @@ def cmd_series(args: argparse.Namespace, config: Config) -> CommandOutput:
     payload = {
         "command": "series",
         "function": name,
-        "order": config.order,
+        "order": order,
         "rows": [
             {"n": int(r[0]), "coefficient": r[1], "egf_integer": r[2]}
             for r in rows
@@ -389,7 +373,7 @@ def _check_cost(flag: str, size: int) -> None:
         )
 
 
-def cmd_verify(args: argparse.Namespace, config: Config) -> CommandOutput:
+def cmd_verify(args: argparse.Namespace) -> CommandOutput:
     target = args.target
     row = VERIFY_TARGETS[target]
     takes = {row.flag, "--family" if target in _FAMILY_TARGETS else None}
@@ -435,7 +419,7 @@ def cmd_verify(args: argparse.Namespace, config: Config) -> CommandOutput:
 # -- enumerate --------------------------------------------------------------
 
 
-def cmd_enumerate(args: argparse.Namespace, config: Config) -> CommandOutput:
+def cmd_enumerate(args: argparse.Namespace) -> CommandOutput:
     if args.n < 0:
         raise UsageError("--n must be at least 0")
     _check_cost("--n", args.n)
@@ -489,10 +473,10 @@ def _yule_value(expr: str, t: Fraction, digits: int) -> NumericValue:
     return NumericValue(value=value, error_bound=bound)
 
 
-def cmd_eval(args: argparse.Namespace, config: Config) -> CommandOutput:
-    digits = args.digits if args.digits is not None else config.precision
+def cmd_eval(args: argparse.Namespace) -> CommandOutput:
+    digits = args.digits
     if digits < 10:
-        raise UsageError("precision must be at least 10")
+        raise UsageError("--digits must be at least 10")
     expr = args.expr
     if expr == "pi3":
         if args.argument is not None:
@@ -533,12 +517,6 @@ def cmd_eval(args: argparse.Namespace, config: Config) -> CommandOutput:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--order", type=int, default=None, help="series truncation / table bound"
-    )
-    common.add_argument(
-        "--precision", type=int, default=None, help="working decimal digits"
-    )
-    common.add_argument(
         "--format", choices=_FORMATS, default=None, help="output format"
     )
     common.add_argument(
@@ -550,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluation for the Dixonian function pair.",
         epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -558,6 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
         "series", parents=[common], help="print an exact coefficient table"
     )
     p_series.add_argument("function", choices=("sm", "cm", "smh", "cmh", "P"))
+    p_series.add_argument(
+        "--order", type=int, default=None, help="last row of the table (default 60)"
+    )
 
     p_verify = sub.add_parser(
         "verify", parents=[common], help="run a dual-route theorem check"
@@ -584,7 +564,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("expr", choices=("smh", "cmh", "pi3", "yuleX", "yuleY"))
     p_eval.add_argument("argument", nargs="?", default=None)
-    p_eval.add_argument("--digits", type=int, default=None)
+    p_eval.add_argument(
+        "--digits", type=int, default=30, help="decimal places (at least 10)"
+    )
 
     return parser
 
@@ -623,15 +605,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
         return 2
     try:
-        config = resolve_config(args)
-        out = _DISPATCH[args.command](args, config)
+        fmt = resolve_format(args)
+        out = _DISPATCH[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = render(out, config.output_format)
+    text = render(out, fmt)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:

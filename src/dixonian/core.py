@@ -1,8 +1,9 @@
-"""Exact truncated power series and bivariate integer polynomials.
+"""Exact truncated power series and the urn operator delta.
 
-Everything downstream (series construction, continued-fraction extraction,
-urn operators) computes over the two types defined here.  Coefficients are
-``fractions.Fraction`` throughout; nothing in this module ever rounds.
+Series construction and continued-fraction extraction compute over
+:class:`PowerSeries`, whose coefficients are ``fractions.Fraction``; the
+urn histories are integer coefficient rows stepped by :func:`delta_apply`.
+Nothing in this module ever rounds.
 
 Reversion runs in integers: ``series_revert`` rescales f by
 lam = lcm of the denominators of k! f_k / f_1 so that its EGF coefficients
@@ -16,12 +17,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add, mul
-from typing import Iterable, Mapping
+from typing import Iterable
 
 __all__ = [
     "DEFAULT_ORDER",
     "PowerSeries",
-    "BivariatePoly",
     "InvalidUrnStateError",
     "series_mul",
     "series_compose",
@@ -362,93 +362,22 @@ class InvalidUrnStateError(ValueError):
     """A delta step produced a negative exponent on a nonzero term."""
 
 
-class BivariatePoly:
-    """Sparse exact-integer polynomial in two variables x, y.
+def delta_apply(row: list[int], rule) -> list[int]:
+    """One delta step:  x^{1-a} y^{s+a} d/dx + x^{s+b} y^{1-b} d/dy.
 
-    Zero coefficients are never stored.  Immutable.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        t: dict[tuple[int, int], int] = {}
-        if terms:
-            for (p, q), c in terms.items():
-                if c:
-                    if p < 0 or q < 0:
-                        raise ValueError("exponents must be nonnegative")
-                    t[(int(p), int(q))] = int(c)
-        self._terms = t
-
-    @classmethod
-    def monomial(cls, coeff: int, p: int, q: int) -> "BivariatePoly":
-        return cls({(p, q): coeff})
-
-    @property
-    def terms(self) -> dict[tuple[int, int], int]:
-        return dict(self._terms)
-
-    def coefficient(self, p: int, q: int) -> int:
-        return self._terms.get((p, q), 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
-        t = dict(self._terms)
-        for k, c in other._terms.items():
-            nc = t.get(k, 0) + c
-            if nc:
-                t[k] = nc
-            else:
-                t.pop(k, None)
-        out = BivariatePoly()
-        out._terms = t
-        return out
-
-    def scale(self, c: int) -> "BivariatePoly":
-        if c == 0:
-            return BivariatePoly()
-        out = BivariatePoly()
-        out._terms = {k: c * v for k, v in self._terms.items()}
-        return out
-
-    def evaluate(self, x: object, y: object) -> Fraction:
-        xv, yv = _as_fraction(x), _as_fraction(y)
-        acc = Fraction(0)
-        for (p, q), c in self._terms.items():
-            acc += c * xv**p * yv**q
-        return acc
-
-    def collect_x(self) -> dict[int, int]:
-        """Coefficient of x^k summed over all y powers, keyed by k."""
-        out: dict[int, int] = {}
-        for (p, _q), c in self._terms.items():
-            out[p] = out.get(p, 0) + c
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BivariatePoly) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "BivariatePoly(0)"
-        parts = [
-            f"{c}*x^{p}*y^{q}" for (p, q), c in sorted(self._terms.items())
-        ]
-        return "BivariatePoly(" + " + ".join(parts) + ")"
-
-
-def _delta_step(row: list[int], rule) -> list[int]:
-    """delta on a homogeneous polynomial of degree D, held as the dense
-    row ``row[j] = [x^j y^(D-j)]``; returns the row of degree D + s.
+    ``rule`` carries the balanced-urn shifts as integer attributes a, b, s
+    (the M12 urn is a = b = s = 1, i.e. delta[x] = y^2, delta[y] = x^2).
+    delta raises the total degree by s and the urn histories it counts are
+    homogeneous, so a polynomial of degree D is held as the dense row
+    ``row[j] = [x^j y^(D-j)]``, and the result is the row of degree D + s.
 
     Term x^j y^(D-j) moves to x^(j-a) with weight j and to x^(j+s+b) with
-    weight D - j.  A nonzero entry with 0 < j < a or 0 < D - j < b would
-    need a negative exponent, and raises :class:`InvalidUrnStateError`.
+    weight D - j.  Read on exponent pairs, this is the weighted quadrant
+    walk with steps (-a, s + a) and (s + b, -b), each weighted by the
+    exponent it lowers; the urn tables and the free-slot parity walk run
+    through it.  A nonzero entry with 0 < j < a or 0 < D - j < b would
+    need a negative exponent: the urn left its reachable state space, and
+    :class:`InvalidUrnStateError` is raised.
 
     The two moves differ by g = a + b + s, so the entries with j = r mod g
     land on the class r - a mod g, and each class is stepped as its own
@@ -491,37 +420,3 @@ def _delta_step(row: list[int], rule) -> list[int]:
         ys += [0] * (size - len(ys))
         out[rp::g] = map(add, xs, ys)
     return out
-
-
-def delta_apply(p: BivariatePoly, rule) -> BivariatePoly:
-    """One delta step:  x^{1-a} y^{s+a} d/dx + x^{s+b} y^{1-b} d/dy, monomial-wise.
-
-    ``rule`` carries the balanced-urn shifts as integer attributes a, b, s
-    (the M12 urn is a = b = s = 1, i.e. delta[x] = y^2, delta[y] = x^2).  A
-    negative exponent on a term with nonzero coefficient means the urn left
-    its reachable state space, which is a hard error by contract.
-
-    delta raises the total degree by s, so p is split into its homogeneous
-    parts, each part is stepped as a dense row by :func:`_delta_step`, and
-    the rows are reassembled.  Rows are dense: a lone monomial of degree D
-    allocates D + 1 slots, so one of degree 10^6 costs 10^6 of them.
-
-    Read on exponent pairs, this is the weighted quadrant walk with steps
-    (-a, s + a) and (s + b, -b), each weighted by the exponent it lowers;
-    the urn tables and the free-slot parity walk run through the same step.
-    """
-    rows: dict[int, list[int]] = {}
-    for (pe, qe), c in p._terms.items():
-        d = pe + qe
-        if d not in rows:
-            rows[d] = [0] * (d + 1)
-        rows[d][pe] = c
-    out: dict[tuple[int, int], int] = {}
-    for d, row in rows.items():
-        top = d + rule.s
-        for j, c in enumerate(_delta_step(row, rule)):
-            if c:
-                out[(j, top - j)] = c
-    result = BivariatePoly()
-    result._terms = out
-    return result

@@ -81,9 +81,11 @@ _BLOCK = 10**600
 
 
 def _decimal(n: int) -> str:
-    """str(n) for n >= 0, in blocks of 600 digits: Python refuses to turn
-    an integer longer than 4300 digits into a string, a limit a program
-    may lower to 640."""
+    """str(n), in blocks of 600 digits: Python refuses to turn an integer
+    longer than 4300 digits into a string, a limit a program may lower to
+    640."""
+    if n < 0:
+        return "-" + _decimal(-n)
     blocks = []
     while n >= _BLOCK:
         n, low = divmod(n, _BLOCK)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from dixonian.contfrac import jfraction_to_series
 from dixonian.core import PowerSeries, series_mul
-from dixonian.urn import BRUTE_CAP_ENV, M12, brute_cap, history_rows
+from dixonian.urn import BRUTE_CAP_ENV, M12, brute_cap, history_polynomials
 
 __all__ = [
     "VALLEY",
@@ -304,7 +304,7 @@ def parity_class_counts_dp(n: int) -> tuple[int, int]:
     """
     if n < 0:
         raise ValueError("negative sizes make no sense")
-    slots = history_rows(M12, 1, 0, n)[-1]
+    slots = history_polynomials(M12, 1, 0, n)[-1]
     return slots[0], slots[-1]
 
 

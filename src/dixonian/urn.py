@@ -1,12 +1,13 @@
 """Balanced two-colour urns whose histories are counted by sm and cm.
 
 A replacement rule is iterated in two independent ways: as the
-differential operator from :mod:`dixonian.core` acting on monomials
-(which, read on exponent pairs, is the weighted walk on the quadrant of
-ball counts) and as in-place rewriting of words over {x, y}.  The
-monochrome slices of the resulting history table reproduce the
-hyperbolic Dixonian coefficients, and a continuous time embedding of the
-same urn solves the ODE system X' = Y^2 - X, Y' = X^2 - Y.
+differential operator delta from :mod:`dixonian.core`, stepping the
+integer coefficient rows of the homogeneous history polynomials (read on
+exponent pairs, the weighted walk on the quadrant of ball counts), and as
+in-place rewriting of words over {x, y}.  The monochrome slices of the
+resulting history table reproduce the hyperbolic Dixonian coefficients,
+and a continuous time embedding of the same urn solves the ODE system
+X' = Y^2 - X, Y' = X^2 - Y.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
-from dixonian.core import BivariatePoly, PowerSeries, _delta_step
+from dixonian.core import PowerSeries, delta_apply
 from dixonian.numerics import abelian_I, eval_cmh, eval_smh
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "DEFAULT_BRUTE_CAP",
     "brute_cap",
     "enumerate_histories",
-    "history_rows",
     "history_polynomials",
     "history_count_table",
     "history_counts",
@@ -104,13 +104,15 @@ T23 = UrnRule(a=2, b=3, s=1)
 # -- history tables through the operator ------------------------------
 
 
-def history_rows(rule: UrnRule, p: int, q: int, n_max: int) -> list[list[int]]:
+def history_polynomials(
+    rule: UrnRule, p: int, q: int, n_max: int
+) -> list[list[int]]:
     """delta^n[x^p y^q] for n = 0 .. n_max, each as a dense row.
 
     Balance makes every history polynomial homogeneous, of degree
     D = p + q + n s, so the n-th entry is the list whose j-th item is the
     coefficient of x^j y^(D-j): the number of length-n histories that
-    end with j balls of the first colour.
+    end with j balls of the first colour and D - j of the second.
     """
     if p < 0 or q < 0 or p + q == 0:
         raise ValueError("the urn needs a nonempty starting configuration")
@@ -118,23 +120,8 @@ def history_rows(rule: UrnRule, p: int, q: int, n_max: int) -> list[list[int]]:
     row[p] = 1
     rows = [row]
     for _ in range(n_max):
-        rows.append(_delta_step(rows[-1], rule))
+        rows.append(delta_apply(rows[-1], rule))
     return rows
-
-
-def history_polynomials(
-    rule: UrnRule, p: int, q: int, n_max: int
-) -> list[BivariatePoly]:
-    """delta^n[x^p y^q] for n = 0 .. n_max.
-
-    The coefficient of x^j y^m in the n-th entry counts the length-n
-    histories that end with j balls of the first colour and m of the
-    second.
-    """
-    return [
-        BivariatePoly({(j, len(row) - 1 - j): c for j, c in enumerate(row)})
-        for row in history_rows(rule, p, q, n_max)
-    ]
 
 
 def history_count_table(
@@ -144,7 +131,7 @@ def history_count_table(
     number of x balls.  The y count is redundant under balance."""
     return [
         {j: c for j, c in enumerate(row) if c}
-        for row in history_rows(rule, p, q, n_max)
+        for row in history_polynomials(rule, p, q, n_max)
     ]
 
 
@@ -159,7 +146,7 @@ def t23_opposite_counts(nu_max: int) -> list[int]:
     These grow as (3 nu + 1)! 2^(nu + 1) times the EGF coefficients of
     smh * cmh, which is what the tests pin them against.
     """
-    rows = history_rows(T23, 2, 0, 3 * nu_max + 1)
+    rows = history_polynomials(T23, 2, 0, 3 * nu_max + 1)
     return [rows[3 * nu + 1][0] for nu in range(nu_max + 1)]
 
 
@@ -323,10 +310,10 @@ def history_egf_partial(x0: Fraction, z: Fraction, n_max: int = 40) -> Fraction:
     """Exact truncation of the bivariate history EGF of the sacrificial
     urn grown from one x ball: sum over n <= n_max of z^n/n! times
     sum_k H_{n,k} x0^k."""
-    polys = history_polynomials(M12, 1, 0, n_max)
     total = Fraction(0)
-    for n, poly in enumerate(polys):
-        total += z**n * poly.evaluate(x0, 1) / math.factorial(n)
+    for n, row in enumerate(history_polynomials(M12, 1, 0, n_max)):
+        at_x0 = sum(c * x0**j for j, c in enumerate(row) if c)
+        total += z**n * at_x0 / math.factorial(n)
     return total
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -54,6 +55,30 @@ def test_series_json_big_integers_are_strings(capsys):
     assert rows[4]["egf_integer"] == "-4"
     assert rows[13]["egf_integer"] == "6476800"
     assert rows[13]["coefficient"] == "6476800/13!"
+
+
+_SERIES_UNDER_LOW_LIMIT = """
+import contextlib, hashlib, io, sys
+sys.set_int_max_str_digits(640)
+from dixonian.cli import main
+for fmt in ("text", "json", "csv"):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["series", "sm", "--order", "360", "--format", fmt])
+    print(code, hashlib.sha256(buf.getvalue().encode()).hexdigest())
+"""
+
+
+def test_series_prints_integers_past_the_str_digit_limit(capsys, run_fresh):
+    # 360! [z^360] sm has more than 640 digits, the lowest limit Python
+    # allows on int-to-str conversion; the table must print it in full.
+    want = []
+    for fmt in ("text", "json", "csv"):
+        code, out, _ = run(capsys, "series", "sm", "--order", "360", "--format", fmt)
+        want += [str(code), hashlib.sha256(out.encode()).hexdigest()]
+    assert max(len(line.rsplit(",", 1)[1]) for line in out.splitlines()) > 641
+    assert run_fresh(_SERIES_UNDER_LOW_LIMIT) == want
+    assert want[::2] == ["0"] * 3
 
 
 def test_series_csv_round_trips(capsys):
@@ -293,7 +318,24 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "series", "sm", "--order", "-1")[0] == 2
     assert run(capsys, "series", "sm", "--format", "xml")[0] == 2
-    assert run(capsys, "eval", "pi3", "--precision", "5")[0] == 2
+    assert run(capsys, "eval", "pi3", "--digits", "5")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--format json series sm",
+        "--order 3 series sm",
+        "--precision 12 eval smh 1",
+        "verify parity --n 4 --order 5",
+        "eval smh 1 --precision 12",
+    ],
+)
+def test_options_belong_to_their_subcommand(capsys, argv):
+    # Each option is defined once, on the subcommand that reads it, so an
+    # option before the subcommand or on another one is refused rather
+    # than dropped.
+    assert run(capsys, *argv.split())[0] == 2
 
 
 def test_environment_overrides(capsys, monkeypatch):

@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dixonian.core import (
-    BivariatePoly,
     InvalidUrnStateError,
     PowerSeries,
     _series_div,
@@ -223,17 +222,33 @@ def test_division_inverts_mul(f):
 # -- delta operator --------------------------------------------------
 
 
-def poly_strategy():
-    term = st.tuples(st.integers(0, 4), st.integers(0, 4))
-    return st.dictionaries(term, st.integers(-5, 5), max_size=5).map(BivariatePoly)
+def monomial(c, p, q):
+    """c x^p y^q as a row."""
+    row = [0] * (p + q + 1)
+    row[p] = c
+    return row
 
 
-def delta_apply_dict(p, rule):
-    """The delta step monomial by monomial over an exponent-keyed dict:
-    the oracle for the row-wise step."""
+def row_terms(row):
+    """A row of degree D as the exponent-keyed dict {(j, D - j): c}."""
+    d = len(row) - 1
+    return {(j, d - j): c for j, c in enumerate(row) if c}
+
+
+def rows_by_degree(terms):
+    """A dict of mixed degrees split into one row per degree."""
+    rows: dict = {}
+    for (pe, qe), c in terms.items():
+        rows.setdefault(pe + qe, [0] * (pe + qe + 1))[pe] += c
+    return rows
+
+
+def delta_apply_dict(terms, rule):
+    """The delta step monomial by monomial over an exponent-keyed dict, of
+    any mix of degrees: the oracle for the row-wise step."""
     a, b, s = rule.a, rule.b, rule.s
     out: dict = {}
-    for (pe, qe), c in p.terms.items():
+    for (pe, qe), c in terms.items():
         if pe:
             np_, nq = pe - a, qe + s + a
             if np_ < 0 or nq < 0:
@@ -248,46 +263,52 @@ def delta_apply_dict(p, rule):
                     f"delta on x^{pe} y^{qe} gives exponent pair ({np_}, {nq})"
                 )
             out[(np_, nq)] = out.get((np_, nq), 0) + c * qe
-    return BivariatePoly(out)
+    return {k: c for k, c in out.items() if c}
+
+
+def rows(degree, coeffs=st.integers(-5, 5)):
+    """Rows of one degree, drawn by hypothesis."""
+    return st.lists(coeffs, min_size=degree + 1, max_size=degree + 1)
 
 
 # x^3 - y^3 and x^6 - y^6 are first integrals of the M12 and T23 flows, so
 # delta sends them to zero and their multiples make terms cancel.
 INVARIANTS = (
-    (RULE_M12, BivariatePoly({(3, 0): 1, (0, 3): -1})),
-    (RULE_T23, BivariatePoly({(6, 0): 1, (0, 6): -1})),
+    (RULE_M12, [-1, 0, 0, 1]),
+    (RULE_T23, [-1, 0, 0, 0, 0, 0, 1]),
 )
 
 
+def row_mul(f, g):
+    """The product of two homogeneous polynomials, held as rows."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
 def test_delta_basic_values():
-    x = BivariatePoly.monomial(1, 1, 0)
-    xy2 = BivariatePoly.monomial(1, 1, 2)
-    assert delta_apply(x, RULE_M12) == BivariatePoly.monomial(1, 0, 2)
-    assert delta_apply(xy2, RULE_M12) == BivariatePoly(
-        {(0, 4): 1, (3, 1): 2}
-    )
-    assert delta_apply(BivariatePoly.monomial(1, 0, 0), RULE_M12).is_zero()
+    assert delta_apply(monomial(1, 1, 0), RULE_M12) == monomial(1, 0, 2)
+    assert delta_apply(monomial(1, 1, 2), RULE_M12) == [1, 0, 0, 2, 0]
+    assert delta_apply([1], RULE_M12) == [0, 0]
 
 
 def test_delta_t23_square():
-    x2 = BivariatePoly.monomial(1, 2, 0)
-    assert delta_apply(x2, RULE_T23) == BivariatePoly.monomial(2, 0, 3)
+    assert delta_apply(monomial(1, 2, 0), RULE_T23) == monomial(2, 0, 3)
 
 
 def test_delta_invalid_state():
-    x = BivariatePoly.monomial(1, 1, 0)
     with pytest.raises(InvalidUrnStateError):
-        delta_apply(x, RULE_T23)
+        delta_apply(monomial(1, 1, 0), RULE_T23)
 
 
 @settings(max_examples=60, deadline=None)
-@given(poly_strategy(), poly_strategy(), st.integers(-4, 4))
-def test_delta_linear(p, q, c):
-    try:
-        lhs = delta_apply(p + q.scale(c), RULE_M12)
-    except InvalidUrnStateError:
-        return
-    rhs = delta_apply(p, RULE_M12) + delta_apply(q, RULE_M12).scale(c)
+@given(st.integers(0, 8).flatmap(lambda d: st.tuples(rows(d), rows(d))), st.integers(-4, 4))
+def test_delta_linear(pq, c):
+    p, q = pq
+    lhs = delta_apply([a + c * b for a, b in zip(p, q)], RULE_M12)
+    rhs = [a + c * b for a, b in zip(delta_apply(p, RULE_M12), delta_apply(q, RULE_M12))]
     assert lhs == rhs
 
 
@@ -298,54 +319,80 @@ def test_delta_linear(p, q, c):
 def test_delta_leibniz_on_monomials(p1, q1, p2, q2):
     # delta(fg) = delta(f) g + f delta(g), checked on monomial pairs, which
     # extends to everything by linearity.
-    def mono_mul(a, b):
-        out: dict = {}
-        for (pa, qa), ca in a.terms.items():
-            for (pb, qb), cb in b.terms.items():
-                k = (pa + pb, qa + qb)
-                out[k] = out.get(k, 0) + ca * cb
-        return BivariatePoly(out)
+    f = monomial(2, p1, q1)
+    g = monomial(3, p2, q2)
+    lhs = delta_apply(row_mul(f, g), RULE_M12)
+    rhs = map(sum, zip(
+        row_mul(delta_apply(f, RULE_M12), g), row_mul(f, delta_apply(g, RULE_M12))
+    ))
+    assert lhs == list(rhs)
 
-    f = BivariatePoly.monomial(2, p1, q1)
-    g = BivariatePoly.monomial(3, p2, q2)
-    lhs = delta_apply(mono_mul(f, g), RULE_M12)
-    rhs = mono_mul(delta_apply(f, RULE_M12), g) + mono_mul(f, delta_apply(g, RULE_M12))
-    assert lhs == rhs
+
+@st.composite
+def rows_with_invariant(draw):
+    """A rule and a row of degree 0-8; from the invariant's degree up, the
+    row carries a monomial multiple of the invariant, whose image cancels
+    in part."""
+    rule, invariant = draw(st.sampled_from(INVARIANTS))
+    d = draw(st.integers(0, 8))
+    row = draw(rows(d, st.integers(-3, 3)))
+    top = d - (len(invariant) - 1)
+    if top >= 0:
+        i = draw(st.integers(0, top))
+        cofactor = monomial(draw(st.integers(-2, 2)), i, top - i)
+        row = [a + b for a, b in zip(row, row_mul(cofactor, invariant))]
+    return rule, row
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    st.dictionaries(
-        st.tuples(st.integers(0, 7), st.integers(0, 7)), st.integers(-3, 3), max_size=8
-    ).map(BivariatePoly),
-    st.integers(-2, 2),
-    st.sampled_from(INVARIANTS),
-)
-def test_delta_rows_match_dict_oracle(p, k, rule_and_invariant):
-    # Mixed degrees, and (through the invariant) terms that cancel in the
-    # image; a polynomial that leaves the state space must raise on both.
-    rule, invariant = rule_and_invariant
-    p = p + invariant.scale(k)
+@given(rows_with_invariant())
+def test_delta_rows_match_dict_oracle(rule_and_row):
+    # A row that leaves the state space must raise on both sides.
+    rule, row = rule_and_row
     try:
-        want = delta_apply_dict(p, rule)
+        want = delta_apply_dict(row_terms(row), rule)
     except InvalidUrnStateError:
         with pytest.raises(InvalidUrnStateError):
-            delta_apply(p, rule)
+            delta_apply(row, rule)
         return
-    assert delta_apply(p, rule) == want
+    assert row_terms(delta_apply(row, rule)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 7), st.integers(0, 7)),
+        st.integers(-3, 3).filter(bool),
+        max_size=8,
+    ),
+    st.sampled_from((RULE_M12, RULE_T23)),
+)
+def test_delta_steps_each_degree_of_a_mixed_dict(terms, rule):
+    # delta keeps degrees apart, so the oracle on a mixed dict is the
+    # union of the row steps of its homogeneous parts.
+    try:
+        want = delta_apply_dict(terms, rule)
+    except InvalidUrnStateError:
+        with pytest.raises(InvalidUrnStateError):
+            for row in rows_by_degree(terms).values():
+                delta_apply(row, rule)
+        return
+    got: dict = {}
+    for row in rows_by_degree(terms).values():
+        got.update(row_terms(delta_apply(row, rule)))
+    assert got == want
 
 
 def test_delta_kills_the_invariants():
     for rule, invariant in INVARIANTS:
-        assert delta_apply_dict(invariant, rule).is_zero()
-        assert delta_apply(invariant, rule).is_zero()
+        assert delta_apply_dict(row_terms(invariant), rule) == {}
+        assert not any(delta_apply(invariant, rule))
 
 
 @pytest.mark.parametrize("p, q", [(1, 0), (0, 1), (1, 1), (1, 2), (3, 2), (0, 2)])
 def test_delta_dead_state_messages_match_oracle(p, q):
-    mono = BivariatePoly.monomial(1, p, q)
     with pytest.raises(InvalidUrnStateError) as want:
-        delta_apply_dict(mono, RULE_T23)
+        delta_apply_dict({(p, q): 1}, RULE_T23)
     with pytest.raises(InvalidUrnStateError) as got:
-        delta_apply(mono, RULE_T23)
+        delta_apply(monomial(1, p, q), RULE_T23)
     assert str(got.value) == str(want.value)

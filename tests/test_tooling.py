@@ -88,10 +88,14 @@ def test_traced_launch_writes_spans(tmp_path):
     ],
 )
 def test_traced_urn_commands_write_spans(tmp_path, argv, lines):
-    # the wrapper around enumerate_histories must pass its multiset through
+    # the wrapper around enumerate_histories must pass its multiset through,
+    # and the operator side of verify urn must walk through the two traced
+    # names, so that its time shows in the per-layer metrics
     got, spans, _ = _traced(tmp_path, argv)
     assert got == lines
     assert spans >= {("cli", "main"), ("urn", "enumerate_histories")}
+    if argv[0] == "verify":
+        assert spans >= {("urn", "history_polynomials"), ("core", "delta_apply")}
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_core import delta_apply_dict
 
-from dixonian.core import BivariatePoly, InvalidUrnStateError, delta_apply
+from dixonian.core import InvalidUrnStateError, delta_apply
 from dixonian.permutations import parity_class_counts_dp
 from dixonian.functions import dixon_egf_integers, dixon_series, weierstrass_P
 from dixonian.urn import (
@@ -24,7 +24,6 @@ from dixonian.urn import (
     history_counts,
     history_egf_partial,
     history_polynomials,
-    history_rows,
     is_unimodal,
     t23_opposite_counts,
     ternary_path_counts,
@@ -56,25 +55,24 @@ def test_rule_shapes_and_validation():
 
 
 def test_operator_iterates_from_one_ball():
+    # row j of delta^n[x] is the coefficient of x^j y^(n + 1 - j)
     polys = history_polynomials(M12, 1, 0, 4)
-    assert polys[0] == BivariatePoly.monomial(1, 1, 0)
-    assert polys[1] == BivariatePoly.monomial(1, 0, 2)
-    assert polys[3] == BivariatePoly({(1, 3): 4, (4, 0): 2})
-    assert polys[4] == BivariatePoly({(0, 5): 4, (3, 2): 20})
+    assert polys[0] == [0, 1]
+    assert polys[1] == [1, 0, 0]
+    assert polys[3] == [0, 4, 0, 0, 2]
+    assert polys[4] == [4, 0, 0, 20, 0, 0]
 
 
 def test_starting_configuration_must_be_nonempty():
     with pytest.raises(ValueError):
         history_polynomials(M12, 0, 0, 3)
     with pytest.raises(ValueError):
-        history_rows(M12, 0, 0, 3)
-    with pytest.raises(ValueError):
-        history_rows(T23, -1, 2, 3)
+        history_polynomials(T23, -1, 2, 3)
 
 
 def dict_histories(rule, p, q, n_max):
     """delta^n[x^p y^q] for n = 0 .. n_max through the dict oracle."""
-    polys = [BivariatePoly.monomial(1, p, q)]
+    polys = [{(p, q): 1}]
     for _ in range(n_max):
         polys.append(delta_apply_dict(polys[-1], rule))
     return polys
@@ -88,22 +86,21 @@ def test_history_rows_match_dict_oracle(rule, p, q):
         want = dict_histories(rule, p, q, 30)
     except InvalidUrnStateError:
         with pytest.raises(InvalidUrnStateError):
-            history_rows(rule, p, q, 30)
+            history_polynomials(rule, p, q, 30)
         return
-    rows = history_rows(rule, p, q, 30)
+    rows = history_polynomials(rule, p, q, 30)
     assert len(rows) == 31
     for n, (row, poly) in enumerate(zip(rows, want)):
         d = p + q + n * rule.s
         assert len(row) == d + 1
-        assert {(j, d - j): c for j, c in enumerate(row) if c} == poly.terms
-    assert history_polynomials(rule, p, q, 30) == want
+        assert {(j, d - j): c for j, c in enumerate(row) if c} == poly
 
 
 def test_parity_walk_matches_dict_oracle():
     polys = dict_histories(M12, 1, 0, 60)
     for n, poly in enumerate(polys):
         assert parity_class_counts_dp(n) == (
-            poly.coefficient(0, n + 1), poly.coefficient(n + 1, 0)
+            poly.get((0, n + 1), 0), poly.get((n + 1, 0), 0)
         )
 
 
@@ -221,16 +218,23 @@ def test_partial_egf_at_zero_is_the_opposite_slice():
     assert history_egf_partial(Fraction(3, 10), Fraction(0), 12) == Fraction(3, 10)
 
 
+def test_partial_egf_matches_dict_oracle_exactly():
+    x0, z = Fraction(3, 10), Fraction(2, 5)
+    want = sum(
+        z**n / math.factorial(n) * sum(c * x0**p for (p, _q), c in poly.items())
+        for n, poly in enumerate(dict_histories(M12, 1, 0, 12))
+    )
+    assert history_egf_partial(x0, z, 12) == want
+
+
 # -- the 2-3 urn --------------------------------------------------------
 
 
 def test_t23_single_step_and_dead_states():
-    assert delta_apply(BivariatePoly.monomial(1, 2, 0), T23) == BivariatePoly.monomial(
-        2, 0, 3
-    )
+    assert delta_apply([0, 0, 1], T23) == [2, 0, 0, 0]
     # One lone x ball cannot pay the removal cost of two.
     with pytest.raises(InvalidUrnStateError):
-        delta_apply(BivariatePoly.monomial(1, 1, 0), T23)
+        delta_apply([0, 1], T23)
 
 
 def test_t23_all_opposite_counts():
