@@ -49,6 +49,7 @@ __all__ = [
     "conrad_s_reference",
     "jfraction_extract",
     "sfraction_extract",
+    "motzkin_rows",
     "jfraction_to_series",
     "sfraction_to_series",
     "contract_s_to_j",
@@ -64,6 +65,9 @@ __all__ = [
     "J_WINDOW_OFFSET",
     "S_TRIPLE_OFFSET",
 ]
+
+
+_Poly = list[Fraction | int]  # coefficients, low first
 
 
 class JFraction(NamedTuple):
@@ -268,6 +272,33 @@ def sfraction_extract(series: PowerSeries, depth: int) -> SFraction:
     return SFraction(ds=tuple(ds))
 
 
+def motzkin_rows(
+    up: Sequence[Fraction | int], level: Sequence[Fraction | int],
+    down: Sequence[Fraction | int], steps: int,
+) -> Iterator[_Poly]:
+    """Yield rows 0..steps of the weighted Motzkin walk from altitude 0.
+
+    Entry l of row n is the total weight of the length-n paths that end
+    at altitude l: a level step at l weighs level[l], an up step from l
+    to l+1 weighs up[l], and a down step from l+1 to l weighs down[l].
+    The height is capped at len(level) - 1, so row n has
+    min(n, len(level) - 1) + 1 entries.  Integer weights give int rows.
+    """
+    height = len(level) - 1
+    row: _Poly = [1]
+    yield row
+    for _ in range(steps):
+        top = len(row) - 1
+        new = [level[l] * c for l, c in enumerate(row)]
+        for l in range(top):
+            new[l] += down[l] * row[l + 1]
+            new[l + 1] += up[l] * row[l]
+        if top < height:
+            new.append(up[top] * row[top])
+        row = new
+        yield row
+
+
 def jfraction_to_series(
     cs: Sequence[Fraction | int], as_: Sequence[Fraction | int], order: int
 ) -> PowerSeries:
@@ -282,17 +313,8 @@ def jfraction_to_series(
     levels = list(cs[: len(as_) + 1])
     if len(as_) >= len(cs):
         levels.append(0)
-    height = len(levels) - 1
-    ups = as_[:height]
-    walk: list[Fraction | int] = [1] + [0] * (height + 1)  # a zero guard on top
-    out = [walk[0]]
-    for _ in range(order):
-        walk[: height + 1] = [
-            levels[l] * walk[l] + walk[l + 1] + (ups[l - 1] * walk[l - 1] if l else 0)
-            for l in range(height + 1)
-        ]
-        out.append(walk[0])
-    return PowerSeries(out, order)
+    walk = motzkin_rows(as_, levels, [1] * (len(levels) - 1), order)
+    return PowerSeries([row[0] for row in walk], order)
 
 
 def sfraction_to_series(ds: Sequence[Fraction | int], order: int) -> PowerSeries:
@@ -301,16 +323,16 @@ def sfraction_to_series(ds: Sequence[Fraction | int], order: int) -> PowerSeries
     return jfraction_to_series(*contract_s_to_j([*ds, 0]), order)
 
 
-def contract_s_to_j(ds: Sequence[Fraction | int]) -> tuple[list[Fraction], list[Fraction]]:
+def contract_s_to_j(ds: Sequence[Fraction | int]) -> tuple[_Poly, _Poly]:
     """Even-odd contraction of an S-fraction into its J-fraction.
 
     c0 = -d1, c(n) = -(d(2n) + d(2n+1)), a(n) = d(2n-1) d(2n).
     """
-    d = [Fraction(x) for x in ds]
+    d = list(ds)
     if not d:
         return [], []
     cs = [-d[0]]
-    as_: list[Fraction] = []
+    as_: _Poly = []
     n = 1
     while 2 * n <= len(d):
         as_.append(d[2 * n - 2] * d[2 * n - 1])
@@ -322,14 +344,14 @@ def contract_s_to_j(ds: Sequence[Fraction | int]) -> tuple[list[Fraction], list[
 
 def conrad_j_reference(family: str, max_n: int) -> JFraction:
     a_fn, b_fn = J_FAMILIES[family]
-    cs = tuple(Fraction(-b_fn(n)) for n in range(max_n + 1))
-    as_ = tuple(Fraction(a_fn(n)) for n in range(1, max_n + 1))
+    cs = tuple(-b_fn(n) for n in range(max_n + 1))
+    as_ = tuple(a_fn(n) for n in range(1, max_n + 1))
     return JFraction(cs=cs, as_=as_)
 
 
 def conrad_s_reference(family: str, max_k: int) -> SFraction:
     d_fn = S_FAMILIES[family]
-    return SFraction(ds=tuple(Fraction(d_fn(k)) for k in range(1, max_k + 1)))
+    return SFraction(ds=tuple(d_fn(k) for k in range(1, max_k + 1)))
 
 
 class VerifyReport(NamedTuple):
@@ -371,9 +393,6 @@ def verify_conrad(
 # -- convergents --------------------------------------------------------
 
 
-_Poly = list[Fraction]  # coefficients, low first
-
-
 def _wallis(steps: Sequence[tuple[_Poly, _Poly]], before: _Poly) -> Iterator[_Poly]:
     """Yield X(1), X(2), ... of X(k) = D(k) X(k-1) + B(k) X(k-2), with
     X(0) = 1, X(-1) = before and steps[k-1] = (D(k), B(k)).
@@ -381,9 +400,9 @@ def _wallis(steps: Sequence[tuple[_Poly, _Poly]], before: _Poly) -> Iterator[_Po
     These are the denominators of a fraction's convergents; trailing
     zeros are dropped, and zero terms are skipped in the products.
     """
-    older, old = before, [Fraction(1)]
+    older, old = before, [1]
     for d, b in steps:
-        new = [Fraction(0)] * (max(len(d) + len(old), len(b) + len(older)) - 1)
+        new: _Poly = [0] * (max(len(d) + len(old), len(b) + len(older)) - 1)
         for factor, x in ((d, old), (b, older)):
             for i, f in enumerate(factor):
                 if f:
@@ -402,7 +421,7 @@ def _j_steps(
     """Wallis steps of a J-fraction: D(k) = 1 - c(k-1) w, B(k) = -a(k-1) w^2,
     and B(1) = 0, since it would multiply X(-1) = 0."""
     return [
-        ([1, -Fraction(cs[k])], [0, 0, -Fraction(as_[k - 1]) if k else 0])
+        ([1, -cs[k]], [0, 0, -as_[k - 1] if k else 0])
         for k in range(depth)
     ]
 
@@ -410,7 +429,7 @@ def _j_steps(
 def _convergent(steps: Sequence[tuple[_Poly, _Poly]], before: _Poly) -> RationalFunction:
     """The convergent over all the steps: the numerator is the denominator
     of the tail fraction, which starts one step later."""
-    num = den = [Fraction(1)]
+    num = den = [1]
     for num in _wallis(steps[1:], before):
         pass
     for den in _wallis(steps, before):
@@ -421,8 +440,8 @@ def _convergent(steps: Sequence[tuple[_Poly, _Poly]], before: _Poly) -> Rational
 class RationalFunction(NamedTuple):
     """An exact num/den pair of polynomials (coefficient lists, low first)."""
 
-    num: tuple[Fraction, ...]
-    den: tuple[Fraction, ...]
+    num: tuple[Fraction | int, ...]
+    den: tuple[Fraction | int, ...]
 
     def to_series(self, order: int) -> PowerSeries:
         return PowerSeries(list(self.num), order) / PowerSeries(list(self.den), order)
@@ -430,8 +449,8 @@ class RationalFunction(NamedTuple):
     def substitute_square(self) -> "RationalFunction":
         """Replace the variable w by z^2 (interleave zero coefficients)."""
 
-        def spread(p: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-            out = [Fraction(0)] * (2 * len(p) - 1)
+        def spread(p: tuple[Fraction | int, ...]) -> tuple[Fraction | int, ...]:
+            out: list[Fraction | int] = [0] * (2 * len(p) - 1)
             for i, c in enumerate(p):
                 out[2 * i] = c
             return tuple(out)
@@ -443,14 +462,14 @@ def convergent_j(
     cs: Sequence[Fraction | int], as_: Sequence[Fraction | int], depth: int
 ) -> RationalFunction:
     """Exact depth-level truncation of a J-fraction (depth >= 1 uses c0..)."""
-    return _convergent(_j_steps(cs, as_, depth), [Fraction(0)])
+    return _convergent(_j_steps(cs, as_, depth), [0])
 
 
 def convergent_s(ds: Sequence[Fraction | int], depth: int) -> RationalFunction:
     """Exact depth-level truncation of an S-fraction, plus convention:
     D(k) = 1 and B(k) = d(k) w from X(-1) = 1."""
-    steps = [([1], [0, Fraction(ds[k])]) for k in range(depth)]
-    return _convergent(steps, [Fraction(1)])
+    steps = [([1], [0, ds[k]]) for k in range(depth)]
+    return _convergent(steps, [1])
 
 
 def snake_width_gf(h: int) -> RationalFunction:
@@ -461,7 +480,7 @@ def snake_width_gf(h: int) -> RationalFunction:
     """
     if h < 1:
         raise ValueError("h >= 1")
-    ds = [Fraction(-(j * j)) for j in range(1, h)]
+    ds = [-(j * j) for j in range(1, h)]
     conv = convergent_s(ds, h - 1)
     return conv.substitute_square()
 
@@ -514,7 +533,7 @@ def meixner_denominator(h: int) -> tuple[Fraction, ...]:
 # -- orthogonal polynomial sequence ------------------------------------
 
 
-def valent_ops(max_n: int, route: str = "recurrence") -> list[list[Fraction]]:
+def valent_ops(max_n: int, route: str = "recurrence") -> list[_Poly]:
     """Monic polynomial sequence tied to the cm family, two independent ways.
 
     ``recurrence``: Q(n+1) = (z + b(n)) Q(n) - a(n) Q(n-1) with the cm
@@ -526,8 +545,8 @@ def valent_ops(max_n: int, route: str = "recurrence") -> list[list[Fraction]]:
     """
     if route == "recurrence":
         ref = conrad_j_reference("cm", max_n)
-        dens = [[Fraction(1)], *_wallis(_j_steps(ref.cs, ref.as_, max_n), [Fraction(0)])]
-        return [(den + [Fraction(0)] * (n + 1 - len(den)))[::-1] for n, den in enumerate(dens)]
+        dens = [[1], *_wallis(_j_steps(ref.cs, ref.as_, max_n), [0])]
+        return [(den + [0] * (n + 1 - len(den)))[::-1] for n, den in enumerate(dens)]
     if route == "gf":
         if max_n == 0:
             return [[Fraction(1)]]

@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
-from dixonian.contfrac import jfraction_to_series
+from dixonian.contfrac import jfraction_to_series, motzkin_rows
 from dixonian.core import PowerSeries, series_mul
 from dixonian.urn import BRUTE_CAP_ENV, M12, brute_cap, history_polynomials
 
@@ -483,13 +483,15 @@ def motzkin_path_total(
     from altitude 0 back to 0.  Each step is weighted by its starting
     altitude: alpha up, beta down, gamma level.  This is [w^length] of
     the J-fraction with c(l) = gamma(l) and a(l+1) = alpha(l) beta(l+1),
-    which :func:`jfraction_to_series` expands as this very path sum."""
+    read at altitude 0 of the last row of :func:`motzkin_rows`."""
     if length < 0:
         raise ValueError("paths have nonnegative length")
     height = length // 2
-    cs = [gamma(lvl) for lvl in range(height + 1)]
-    as_ = [alpha(lvl) * beta(lvl + 1) for lvl in range(height)]
-    return int(jfraction_to_series(cs, as_, length).coefficient(length))
+    up = [alpha(lvl) for lvl in range(height)]
+    down = [beta(lvl + 1) for lvl in range(height)]
+    level = [gamma(lvl) for lvl in range(height + 1)]
+    *_, last = motzkin_rows(up, level, down, length)
+    return last[0]
 
 
 def permutation_path_total(
@@ -653,27 +655,15 @@ def andre_polynomials(k_max: int) -> list[dict[int, int]]:
                    + 2m(m^2+1) p_{k, m}
                    + (m-1)(m-2)(m-3) p_{k, m-3}.
 
-    The support stays on m = 1 mod 3 and the degree grows by three per
-    step, so P_k ends at w^(3k+1).
+    The support stays on m = 1 mod 3, so this is the weighted Motzkin
+    walk of :func:`andre_weights` read at altitude l = (m - 1)/3: the
+    coefficient of w^(3l+1) in P_k is the weight of the k-step paths
+    that end at l, and P_k ends at w^(3k+1).
     """
     if k_max < 0:
         raise ValueError("negative orders make no sense")
-    polys = [{1: 1}]
-    for _ in range(k_max):
-        cur = polys[-1]
-        nxt: dict[int, int] = {}
-        for m, c in cur.items():
-            down = m - 3
-            if down >= 0:
-                w = (down + 1) * (down + 2) * (down + 3) * c
-                if w:
-                    nxt[down] = nxt.get(down, 0) + w
-            w = 2 * m * (m * m + 1) * c
-            if w:
-                nxt[m] = nxt.get(m, 0) + w
-            up = m + 3
-            w = (up - 1) * (up - 2) * (up - 3) * c
-            if w:
-                nxt[up] = nxt.get(up, 0) + w
-        polys.append(nxt)
-    return polys
+    alpha, beta, gamma = zip(*map(andre_weights, range(k_max + 1)))
+    return [
+        {3 * l + 1: c for l, c in enumerate(row)}
+        for row in motzkin_rows(alpha, gamma, beta[1:], k_max)
+    ]

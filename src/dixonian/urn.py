@@ -19,7 +19,7 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 from dixonian.core import PowerSeries, delta_apply
-from dixonian.numerics import abelian_I, eval_cmh, eval_smh
+from dixonian.numerics import NumericValue, abelian_I, eval_cmh, eval_smh
 
 __all__ = [
     "UrnRule",
@@ -37,6 +37,7 @@ __all__ = [
     "ternary_path_counts",
     "yule_rk4",
     "yule_closed_form",
+    "yule_value",
     "yule_size_law",
     "history_egf_partial",
     "history_composition_residual",
@@ -277,19 +278,26 @@ def yule_rk4(
     return out
 
 
-def yule_closed_form(t: float, dps: int = 25) -> tuple[float, float]:
-    """X(t) = e^-t smh(1 - e^-t) and Y(t) = e^-t cmh(1 - e^-t)."""
+def yule_value(expr: str, t: Fraction, digits: int) -> NumericValue:
+    """Certified X(t) (``expr`` "yuleX") or Y(t) ("yuleY") to ``digits``
+    places: X(t) = e^-t smh(1 - e^-t) and Y(t) = e^-t cmh(1 - e^-t)."""
     from mpmath import mp, mpf
 
     if t < 0:
         raise ValueError("the embedding runs forward in time")
-    with mp.workdps(dps + 10):
-        decay = mp.exp(-mpf(t))
+    with mp.workdps(digits + 15):
+        decay = mp.exp(-mpf(t.numerator) / t.denominator)
         u = 1 - decay
-    sv = eval_smh(u, digits=dps)
-    cv = eval_cmh(u, digits=dps)
-    with mp.workdps(dps + 10):
-        return float(decay * sv.value), float(decay * cv.value)
+        inner = eval_smh(u, digits + 5) if expr == "yuleX" else eval_cmh(u, digits + 5)
+        value = decay * inner.value
+        bound = decay * inner.error_bound + mpf(10) ** (-(digits + 10))
+    return NumericValue(value=value, error_bound=bound)
+
+
+def yule_closed_form(t: float, dps: int = 25) -> tuple[float, float]:
+    """(X(t), Y(t)) as floats, read off :func:`yule_value`."""
+    x, y = (float(yule_value(e, Fraction(t), dps).value) for e in ("yuleX", "yuleY"))
+    return x, y
 
 
 def yule_size_law(k: int, t: float) -> float:

@@ -216,6 +216,43 @@ def test_enumerate_cap_exceeded_fails(capsys, monkeypatch):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("series", "sm", "--order", "3"),
+        ("eval", "smh", "1", "--digits", "12"),
+        ("verify", "conrad-j", "--depth", "2"),
+    ],
+)
+def test_malformed_cap_leaves_capless_commands_alone(capsys, monkeypatch, argv):
+    # only the brute-force paths read the cap, so only they may refuse it
+    monkeypatch.delenv("DIXONIAN_BRUTE_CAP", raising=False)
+    clean = run(capsys, *argv)
+    assert clean[0] == 0
+    for raw in ("x", "-1"):
+        monkeypatch.setenv("DIXONIAN_BRUTE_CAP", raw)
+        assert run(capsys, *argv) == clean
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "parity", "--n", "2"),
+        ("verify", "urn", "--n", "2"),
+        ("verify", "r-repeated", "--max-n", "2"),
+        ("enumerate", "histories", "--n", "2"),
+        ("enumerate", "perms", "--class", "X", "--n", "2"),
+    ],
+)
+def test_malformed_cap_is_a_usage_error_where_read(capsys, monkeypatch, argv):
+    for raw, why in (("x", "must be an integer"), ("-1", "must be nonnegative")):
+        monkeypatch.setenv("DIXONIAN_BRUTE_CAP", raw)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"DIXONIAN_BRUTE_CAP {why}" in err
+
+
 def test_enumerate_negative_size_is_usage_error(capsys):
     for argv in (
         ("perms", "--class", "X"),

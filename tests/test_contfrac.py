@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from dixonian.contfrac import (
     jfraction_extract,
     jfraction_to_series,
     meixner_denominator,
+    motzkin_rows,
     scd_transforms,
     sfraction_extract,
     sfraction_to_series,
@@ -406,6 +408,77 @@ def test_contraction_matches_series(ds):
     k = min(2 * len(cs) - 1, order, len(ds))
     for m in range(k + 1):
         assert s_series.coefficient(m) == j_series.coefficient(m)
+
+
+def brute_rows(up, level, down, steps):
+    """Every step sequence of each length, walked one at a time: entry l
+    of row n sums the weights of the length-n paths that end at l."""
+    height = len(level) - 1
+    rows = []
+    for n in range(steps + 1):
+        row = [0] * (min(n, height) + 1)
+        for moves in itertools.product((-1, 0, 1), repeat=n):
+            alt, weight = 0, 1
+            for move in moves:
+                if move == 1:
+                    if alt == height:
+                        break
+                    weight *= up[alt]
+                elif move == -1:
+                    if alt == 0:
+                        break
+                    weight *= down[alt - 1]
+                else:
+                    weight *= level[alt]
+                alt += move
+            else:
+                row[alt] += weight
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 6), st.data())
+def test_motzkin_rows_match_path_enumeration(height, steps, data):
+    weights = st.lists(st.integers(-5, 5), min_size=height, max_size=height)
+    up = data.draw(weights)
+    down = data.draw(weights)
+    level = data.draw(st.lists(st.integers(-5, 5), min_size=height + 1, max_size=height + 1))
+    assert list(motzkin_rows(up, level, down, steps)) == brute_rows(up, level, down, steps)
+
+
+# -- exact number types ----------------------------------------------------
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(2, 3)])
+def test_fraction_layer_keeps_ints_and_fractions(scale):
+    # integer input stays int all the way through; rational input gives
+    # ints and Fractions; nothing is ever a float
+    cs = [scale * c for c in (2, -3, 5)]
+    as_ = [scale * a for a in (4, -1)]
+    ds = [scale * d for d in (1, -2, 3, 7)]
+    conv_j = convergent_j(cs, as_, 3)
+    conv_s = convergent_s(ds, 4)
+    values = [*conv_j.num, *conv_j.den, *conv_s.num, *conv_s.den]
+    for part in contract_s_to_j(ds):
+        values += part
+    kinds = (int,) if scale == 1 else (int, Fraction)
+    assert values and all(type(v) in kinds for v in values)
+
+
+def test_references_valent_and_widths_are_ints():
+    values = []
+    for family in J_FAMILIES:
+        ref = conrad_j_reference(family, 6)
+        values += [*ref.cs, *ref.as_]
+    for family in S_FAMILIES:
+        values += conrad_s_reference(family, 9).ds
+    for poly in valent_ops(6, route="recurrence"):
+        values += poly
+    for h in range(1, 8):
+        width = snake_width_gf(h)
+        values += [*width.num, *width.den]
+    assert all(type(v) is int for v in values)
 
 
 # -- convergents ---------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dixonian import permutations
-from dixonian.contfrac import jfraction_extract
+from dixonian.contfrac import jfraction_extract, jfraction_to_series
 from dixonian.core import PowerSeries, series_compose, series_derive
 from dixonian.functions import dixon_egf_integers, dixon_series
 from dixonian.permutations import (
@@ -448,6 +448,21 @@ def test_generic_path_weights_see_every_altitude():
         motzkin_path_total(-1, lambda l: 1, lambda l: 1, lambda l: 1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 9),
+    st.lists(st.integers(-4, 4), min_size=11, max_size=11),
+    st.lists(st.integers(-4, 4), min_size=11, max_size=11),
+    st.lists(st.integers(-4, 4), min_size=11, max_size=11),
+)
+def test_path_total_is_the_jfraction_coefficient(n, alpha, beta, gamma):
+    # pins the up and down indexing: the pair of an up step from l and
+    # its down step from l + 1 weighs alpha(l) beta(l + 1)
+    total = motzkin_path_total(n, alpha.__getitem__, beta.__getitem__, gamma.__getitem__)
+    as_ = [alpha[l] * beta[l + 1] for l in range(10)]
+    assert total == jfraction_to_series(gamma, as_, n).coefficient(n)
+
+
 # -- block-repeated permutations -------------------------------------------
 
 
@@ -568,6 +583,25 @@ def test_first_derivative_polynomials():
         assert all(m % 3 == 1 for m in poly)
         assert max(poly) == 3 * k + 1
         assert all(c > 0 for c in poly.values())
+
+
+def andre_recurrence(k_max):
+    """The derivative recurrence of :func:`andre_polynomials`, stepped on
+    sparse coefficient maps: the oracle for the walk."""
+    polys = [{1: 1}]
+    for _ in range(k_max):
+        nxt = {}
+        for m, c in polys[-1].items():
+            if m >= 3:
+                nxt[m - 3] = nxt.get(m - 3, 0) + (m - 2) * (m - 1) * m * c
+            nxt[m] = nxt.get(m, 0) + 2 * m * (m * m + 1) * c
+            nxt[m + 3] = nxt.get(m + 3, 0) + (m + 2) * (m + 1) * m * c
+        polys.append({m: c for m, c in nxt.items() if c})
+    return polys
+
+
+def test_walk_matches_derivative_recurrence():
+    assert andre_polynomials(60) == andre_recurrence(60)
 
 
 def test_polynomials_reproduce_derivatives():

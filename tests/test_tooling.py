@@ -111,11 +111,16 @@ def test_traced_urn_commands_write_spans(tmp_path, argv, lines):
          [f"j-{f}: j-fraction {f}: all coefficients match"
           for f in ("sm", "sm2", "sm3", "cm", "smcm", "sm2cm")] + ["PASS"],
          "verify_conrad"),
+        (("verify", "andre", "--max-n", "2"),
+         ["k=0: P_0'(0) = 1", "k=1: P_1'(0) = 4", "k=2: P_2'(0) = 160", "PASS"],
+         "andre_polynomials"),
     ],
 )
 def test_traced_fraction_commands_write_spans(tmp_path, argv, lines, entry):
-    # the wrapped convergent, Valent and report functions must return
-    # what the unwrapped ones do
+    # the wrapped convergent, Valent, report and André functions must
+    # return what the unwrapped ones do
     got, spans, _ = _traced(tmp_path, argv)
     assert got == lines
-    assert spans >= {("cli", "main"), ("contfrac", entry)}
+    points = _tracer_namespace()["ENTRY_POINTS"]
+    module = next(m for m, names in points.items() if entry in names)
+    assert spans >= {("cli", "main"), (module, entry)}
