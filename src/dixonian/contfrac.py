@@ -50,6 +50,7 @@ __all__ = [
     "jfraction_extract",
     "sfraction_extract",
     "motzkin_rows",
+    "motzkin_step",
     "jfraction_to_series",
     "sfraction_to_series",
     "contract_s_to_j",
@@ -284,19 +285,31 @@ def motzkin_rows(
     The height is capped at len(level) - 1, so row n has
     min(n, len(level) - 1) + 1 entries.  Integer weights give int rows.
     """
-    height = len(level) - 1
     row: _Poly = [1]
     yield row
     for _ in range(steps):
-        top = len(row) - 1
-        new = [level[l] * c for l, c in enumerate(row)]
-        for l in range(top):
-            new[l] += down[l] * row[l + 1]
-            new[l + 1] += up[l] * row[l]
-        if top < height:
-            new.append(up[top] * row[top])
-        row = new
+        row = motzkin_step(row, up, level, down)
         yield row
+
+
+def motzkin_step(
+    row: Sequence[Fraction | int], up: Sequence[Fraction | int],
+    level: Sequence[Fraction | int], down: Sequence[Fraction | int],
+) -> _Poly:
+    """The row after ``row`` in :func:`motzkin_rows`, as a new list.
+
+    It gains an entry while len(row) < len(level), so the weights must
+    cover the altitudes 0..len(row) - 1, and up[len(row) - 1] too when
+    the row grows.
+    """
+    top = len(row) - 1
+    new = [level[l] * c for l, c in enumerate(row)]
+    for l in range(top):
+        new[l] += down[l] * row[l + 1]
+        new[l + 1] += up[l] * row[l]
+    if top + 1 < len(level):
+        new.append(up[top] * row[top])
+    return new
 
 
 def jfraction_to_series(

@@ -10,17 +10,23 @@ lam = lcm of the denominators of k! f_k / f_1 so that its EGF coefficients
 are integers, solves the partial Bell polynomial recurrence for the
 inverse's integer EGF coefficients in O(n^3) integer operations, and
 builds one ``Fraction`` per coefficient at the end.
+
+Tables whose entry n + 1 follows from the entries before it (the integer
+EGF tables of sm and cm, the urn history rows, the André rows) are grown
+once per process by :class:`GrowingTable` and shared by every caller.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from operator import add, mul
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "DEFAULT_ORDER",
+    "GrowingTable",
     "PowerSeries",
     "InvalidUrnStateError",
     "series_mul",
@@ -420,3 +426,52 @@ def delta_apply(row: list[int], rule) -> list[int]:
         ys += [0] * (size - len(ys))
         out[rp::g] = map(add, xs, ys)
     return out
+
+
+class GrowingTable:
+    """Parallel columns whose entry n + 1 follows from entries 0..n, grown
+    on demand and shared by every caller.
+
+    ``step(*columns)`` receives the columns as lists holding entries 0..n
+    and appends entry n + 1 to each.  Growth runs under a lock and is
+    published as one tuple of column tuples, so a reader never sees a
+    half-grown table and no entry is stepped twice; a step that raises
+    leaves the published table as it was.  At most ``cap`` entries are
+    stored: a request past them steps on from the last stored entry in
+    private lists, and stores nothing.  The columns are shared, so a
+    caller that hands entries out copies them first.
+    """
+
+    __slots__ = ("_columns", "_step", "_cap", "_lock")
+
+    def __init__(
+        self, step: Callable[..., None], *seed: Sequence, cap: int | None = None
+    ) -> None:
+        self._columns = tuple(map(tuple, seed))
+        self._step = step
+        self._cap = cap
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        """The number of entries stored so far."""
+        return len(self._columns[0])
+
+    def columns(self, n: int) -> Sequence[Sequence]:
+        """The columns, each holding at least the entries 0..n: the shared
+        tuples up to the cap, private lists past it."""
+        columns = self._columns
+        if len(columns[0]) > n:
+            return columns
+        keep = n if self._cap is None else min(n, self._cap - 1)
+        if len(columns[0]) <= keep:
+            with self._lock:
+                columns = self._columns
+                if len(columns[0]) <= keep:
+                    self._columns = columns = tuple(map(tuple, self._walk(columns, keep)))
+        return columns if len(columns[0]) > n else self._walk(columns, n)
+
+    def _walk(self, columns: tuple[Sequence, ...], n: int) -> list[list]:
+        grown = [list(c) for c in columns]
+        while len(grown[0]) <= n:
+            self._step(*grown)
+        return grown

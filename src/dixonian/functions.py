@@ -16,12 +16,11 @@ never touches the ODE.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from dixonian.core import DEFAULT_ORDER, PowerSeries, series_revert
+from dixonian.core import DEFAULT_ORDER, GrowingTable, PowerSeries, series_revert
 
 __all__ = [
     "DixonPair",
@@ -58,12 +57,6 @@ class DixonPair(NamedTuple):
         return _from_egf(dixon_egf_table("cmh", self.order))
 
 
-# Integer EGF tables n! [z^n] sm and n! [z^n] cm, grown on demand and
-# published as one immutable pair, so a reader never sees a half-grown table.
-_EGF_LOCK = threading.Lock()
-_EGF_TABLES: tuple[tuple[int, ...], tuple[int, ...]] = ((0, 1), (1, 0))
-
-
 def _binomial_sum(n: int, start: int, stop: int, f: Sequence[int], g: Sequence[int]) -> int:
     """Sum of C(n, i) f[i] g[n - i] over i = start, start + 3, ... below stop.
 
@@ -87,25 +80,29 @@ def _binomial_square(n: int, start: int, f: Sequence[int]) -> int:
     return total
 
 
+def _egf_step(a: list[int], b: list[int]) -> None:
+    """Append n! [z^n] sm and n! [z^n] cm at n = len(a)."""
+    n = len(a) - 1
+    a.append(_binomial_square(n, 0, b) if n % 3 == 0 else 0)
+    b.append(-_binomial_square(n, 1, a) if n % 3 == 2 else 0)
+
+
+# The integer EGF tables of sm and cm, from (0, 1) and (1, 0), grown on
+# demand and shared by every caller, with no cap.
+_EGF_TABLES = GrowingTable(_egf_step, (0, 1), (1, 0))
+
+
 def dixon_egf_integers(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Integer tables (n! [z^n] sm, n! [z^n] cm) for n = 0..n_max.
 
     The system in EGF form reads a(n+1) = sum C(n,i) b(i) b(n-i) and
     b(n+1) = -sum C(n,i) a(i) a(n-i), all in integers; only sm indices
-    = 1 mod 3 and cm indices = 0 mod 3 are nonzero.  The tables are cached
-    across calls and safe to share between threads.
+    = 1 mod 3 and cm indices = 0 mod 3 are nonzero.  Both tables are
+    grown once per process, as far as the largest n_max asked (there is
+    no cap), and shared between calls and threads: each call returns
+    prefixes of the shared immutable tuples, which need no copy.
     """
-    global _EGF_TABLES
-    a, b = _EGF_TABLES
-    if len(a) <= n_max:
-        with _EGF_LOCK:
-            a, b = _EGF_TABLES
-            if len(a) <= n_max:
-                a, b = list(a), list(b)
-                for n in range(len(a) - 1, n_max):
-                    a.append(_binomial_square(n, 0, b) if n % 3 == 0 else 0)
-                    b.append(-_binomial_square(n, 1, a) if n % 3 == 2 else 0)
-                _EGF_TABLES = a, b = tuple(a), tuple(b)
+    a, b = _EGF_TABLES.columns(n_max)
     return a[: n_max + 1], b[: n_max + 1]
 
 

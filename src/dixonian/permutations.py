@@ -18,9 +18,9 @@ from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
-from dixonian.contfrac import jfraction_to_series, motzkin_rows
-from dixonian.core import PowerSeries, series_mul
-from dixonian.urn import BRUTE_CAP_ENV, M12, brute_cap, history_polynomials
+from dixonian.contfrac import jfraction_to_series, motzkin_rows, motzkin_step
+from dixonian.core import GrowingTable, PowerSeries, series_mul
+from dixonian.urn import BRUTE_CAP_ENV, M12, _history_rows, brute_cap
 
 __all__ = [
     "VALLEY",
@@ -300,11 +300,13 @@ def parity_class_counts_dp(n: int) -> tuple[int, int]:
     counting even slots and y odd ones, the walk is the sacrificial urn
     grown from one x ball, so the pair is read off delta^n[x] as the
     coefficients of y^(n+1) and x^(n+1), the two ends of its row.  This
-    route is independent of any permutation scan.
+    route is independent of any permutation scan.  The rows are the urn
+    rows that :func:`dixonian.urn.history_polynomials` shares, walked once
+    per process; both ends are read in place, without a copy.
     """
     if n < 0:
         raise ValueError("negative sizes make no sense")
-    slots = history_polynomials(M12, 1, 0, n)[-1]
+    slots = _history_rows(M12, 1, 0, n)[n]
     return slots[0], slots[-1]
 
 
@@ -659,11 +661,32 @@ def andre_polynomials(k_max: int) -> list[dict[int, int]]:
     walk of :func:`andre_weights` read at altitude l = (m - 1)/3: the
     coefficient of w^(3l+1) in P_k is the weight of the k-step paths
     that end at l, and P_k ends at w^(3k+1).
+
+    The walk is grown once per process and shared: its first 128 rows
+    are stored, and a longer request steps on from the last stored row
+    without storing.  The dicts are fresh on every call.
     """
     if k_max < 0:
         raise ValueError("negative orders make no sense")
-    alpha, beta, gamma = zip(*map(andre_weights, range(k_max + 1)))
-    return [
-        {3 * l + 1: c for l, c in enumerate(row)}
-        for row in motzkin_rows(alpha, gamma, beta[1:], k_max)
-    ]
+    rows = _ANDRE_ROWS.columns(k_max)[0]
+    return [{3 * l + 1: c for l, c in enumerate(rows[k])} for k in range(k_max + 1)]
+
+
+def _andre_step(
+    rows: list[list[int]], up: list[int], level: list[int], down: list[int]
+) -> None:
+    """Append row k + 1 of the André walk after rows 0..k, and first the
+    weights it reads one altitude higher: alpha_k, gamma_(k+1) and beta_(k+1)."""
+    k = len(rows) - 1
+    up.append(andre_weights(k)[0])
+    _, beta, gamma = andre_weights(k + 1)
+    level.append(gamma)
+    down.append(beta)
+    rows.append(motzkin_step(rows[-1], up, level, down))
+
+
+# The André rows, with the up, level and down weights that reach them.
+# The first 128 rows are stored, about 2.3 MB.
+_ANDRE_ROWS_STORED = 128
+_ANDRE_ROWS = GrowingTable(_andre_step, [[1]], [], [andre_weights(0)[2]], [],
+                           cap=_ANDRE_ROWS_STORED)

@@ -17,8 +17,9 @@ import os
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from functools import lru_cache, partial
 
-from dixonian.core import PowerSeries, delta_apply
+from dixonian.core import GrowingTable, PowerSeries, delta_apply
 from dixonian.numerics import NumericValue, abelian_I, eval_cmh, eval_smh
 
 __all__ = [
@@ -105,6 +106,35 @@ T23 = UrnRule(a=2, b=3, s=1)
 # -- history tables through the operator ------------------------------
 
 
+# Rows stored per urn start, and starts kept: the M12 rows from x up to
+# n = 199 take about 1.4 MB.  A longer request walks on without storing.
+_URN_ROWS_STORED = 200
+_URN_STARTS_STORED = 8
+
+
+def _delta_step(rule: UrnRule, rows: list[list[int]]) -> None:
+    # delta_apply is looked up when the step runs, so a wrapper installed
+    # on this module's name sees every step.
+    rows.append(delta_apply(rows[-1], rule))
+
+
+# Two threads that miss the cache together may each make a table for one
+# start; both walk the same rows, and the cache keeps one of them.
+@lru_cache(maxsize=_URN_STARTS_STORED)
+def _history_table(rule: UrnRule, p: int, q: int) -> GrowingTable:
+    row = [0] * (p + q + 1)
+    row[p] = 1
+    return GrowingTable(partial(_delta_step, rule), [row], cap=_URN_ROWS_STORED)
+
+
+def _history_rows(rule: UrnRule, p: int, q: int, n: int) -> Sequence[list[int]]:
+    """The rows delta^k[x^p y^q] for k = 0 .. n at least, shared with
+    every other caller: read them, never change them."""
+    if p < 0 or q < 0 or p + q == 0:
+        raise ValueError("the urn needs a nonempty starting configuration")
+    return _history_table(rule, p, q).columns(n)[0]
+
+
 def history_polynomials(
     rule: UrnRule, p: int, q: int, n_max: int
 ) -> list[list[int]]:
@@ -114,22 +144,23 @@ def history_polynomials(
     D = p + q + n s, so the n-th entry is the list whose j-th item is the
     coefficient of x^j y^(D-j): the number of length-n histories that
     end with j balls of the first colour and D - j of the second.
+
+    The rows of each start (rule, p, q) are walked once per process and
+    shared: the first 200 rows are stored, for the 8 starts asked last,
+    and a longer walk steps on from the last stored row without storing.
+    Each call returns fresh lists.
     """
-    if p < 0 or q < 0 or p + q == 0:
-        raise ValueError("the urn needs a nonempty starting configuration")
-    row = [0] * (p + q + 1)
-    row[p] = 1
-    rows = [row]
-    for _ in range(n_max):
-        rows.append(delta_apply(rows[-1], rule))
-    return rows
+    rows = _history_rows(rule, p, q, n_max)
+    return [list(row) for row in rows[: max(n_max, 0) + 1]]
 
 
 def history_count_table(
     rule: UrnRule, p: int, q: int, n_max: int
 ) -> list[dict[int, int]]:
     """History counts for every length 0 .. n_max, keyed by the final
-    number of x balls.  The y count is redundant under balance."""
+    number of x balls.  The y count is redundant under balance.  The
+    rows are read off :func:`history_polynomials`, and the dicts are
+    fresh on every call."""
     return [
         {j: c for j, c in enumerate(row) if c}
         for row in history_polynomials(rule, p, q, n_max)
@@ -137,7 +168,9 @@ def history_count_table(
 
 
 def history_counts(rule: UrnRule, p: int, q: int, n: int) -> dict[int, int]:
-    return history_count_table(rule, p, q, n)[-1]
+    """The counts of :func:`history_count_table` for length n alone."""
+    row = _history_rows(rule, p, q, n)[max(n, 0)]
+    return {j: c for j, c in enumerate(row) if c}
 
 
 def t23_opposite_counts(nu_max: int) -> list[int]:

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dixonian.core import (
+    GrowingTable,
     InvalidUrnStateError,
     PowerSeries,
     _series_div,
@@ -396,3 +397,41 @@ def test_delta_dead_state_messages_match_oracle(p, q):
     with pytest.raises(InvalidUrnStateError) as got:
         delta_apply(monomial(1, p, q), RULE_T23)
     assert str(got.value) == str(want.value)
+
+
+# -- grown tables ------------------------------------------------------
+
+
+def test_growing_table_steps_each_entry_once_and_stops_at_the_cap():
+    steps = []
+
+    def step(squares, roots):
+        steps.append(len(roots))
+        roots.append(len(roots))
+        squares.append(roots[-1] ** 2)
+
+    table = GrowingTable(step, [0], [0], cap=6)
+    assert table.columns(3) == ((0, 1, 4, 9), (0, 1, 2, 3))
+    assert table.columns(2) == table.columns(3)
+    assert steps == [1, 2, 3]
+    # Past the cap the walk goes on from the stored entries in private lists.
+    squares, roots = table.columns(9)
+    assert (squares, roots) == ([n * n for n in range(10)], list(range(10)))
+    assert len(table) == 6
+    assert table.columns(9) == [squares, roots]
+    assert steps == [1, 2, 3, 4, 5] + [6, 7, 8, 9] * 2
+
+
+def test_growing_table_keeps_its_entries_when_a_step_raises():
+    def step(rows):
+        if len(rows) == 3:
+            raise InvalidUrnStateError("no third step")
+        rows.append(rows[-1] + 1)
+
+    table = GrowingTable(step, [0])
+    assert table.columns(1) == ((0, 1),)
+    for _ in range(2):
+        with pytest.raises(InvalidUrnStateError):
+            table.columns(5)
+        assert len(table) == 2
+    assert table.columns(2) == ((0, 1, 2),)

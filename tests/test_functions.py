@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import os
@@ -12,6 +13,7 @@ from dixonian.core import PowerSeries, series_derive, series_integrate, series_m
 from dixonian.functions import (
     dixon_egf_integers,
     dixon_egf_product,
+    dixon_egf_table,
     dixon_series,
     dumont_R,
     hyp2f1_series,
@@ -19,6 +21,8 @@ from dixonian.functions import (
     weierstrass_P,
     weierstrass_P_via_hypergeometric,
 )
+from dixonian.permutations import andre_polynomials
+from dixonian.urn import M12, history_count_table, history_polynomials
 from test_contfrac import laplace_shifted
 
 # Frozen reference values.  Derived once from the defining system by hand
@@ -129,35 +133,66 @@ def test_egf_product_matches_cauchy_product(pair, p, q):
 _THREADED_BUILD = """
 import hashlib, sys, threading
 from dixonian.functions import dixon_egf_integers
+from dixonian.permutations import andre_polynomials
+from dixonian.urn import M12, history_polynomials
 sys.setswitchinterval(1e-5)
 barrier = threading.Barrier(4)
 results = [None] * 4
 def ask(i):
     barrier.wait()
-    results[i] = dixon_egf_integers(600)
+    results[i] = (dixon_egf_integers(600), history_polynomials(M12, 1, 0, 160),
+                  andre_polynomials(80))
 threads = [threading.Thread(target=ask, args=(i,)) for i in range(4)]
 for t in threads:
     t.start()
 for t in threads:
     t.join(60)
     assert not t.is_alive()
-results.append(dixon_egf_integers(600))
+results.append((dixon_egf_integers(600), history_polynomials(M12, 1, 0, 160),
+                andre_polynomials(80)))
 for r in results:
-    print(hashlib.sha256(repr(r).encode()).hexdigest())
+    print(*(hashlib.sha256(repr(part).encode()).hexdigest() for part in r))
 """
 
 
 def test_egf_tables_are_thread_safe():
-    # Four threads grow a cold cache at once, in a fresh interpreter; each
-    # of them, and a later call, must see the single-threaded tables.
+    # Four threads grow cold caches at once, in a fresh interpreter: the EGF
+    # tables, the urn rows from x and the André rows.  Each of them, and a
+    # later call, must see the single-threaded tables.
     src = os.path.dirname(os.path.dirname(dixonian.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", _THREADED_BUILD],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     ).stdout.split()
-    expected = hashlib.sha256(repr(dixon_egf_integers(600)).encode()).hexdigest()
-    assert out == [expected] * 5
+    expected = [
+        hashlib.sha256(repr(part).encode()).hexdigest()
+        for part in (dixon_egf_integers(600), history_polynomials(M12, 1, 0, 160),
+                     andre_polynomials(80))
+    ]
+    assert out == expected * 5
+
+
+def test_results_are_fresh_containers():
+    # The tables behind these calls are shared; what a call returns is not,
+    # so changing it leaves every later result alone.
+    calls = [
+        lambda: history_polynomials(M12, 1, 0, 12),
+        lambda: history_count_table(M12, 0, 1, 12),
+        lambda: andre_polynomials(12),
+        lambda: dixon_egf_table("smh", 40),
+    ]
+    for call in calls:
+        first, want = call(), copy.deepcopy(call())
+        for entry in first[1:]:
+            if isinstance(entry, list):
+                entry.append(-1)
+                entry[0] += 1
+            elif isinstance(entry, dict):
+                entry[0] = entry.get(0, 0) + 1
+        first.append(first[0])
+        first[0] = None
+        assert call() == want
 
 
 def test_hypergeometric_route():

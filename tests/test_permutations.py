@@ -604,6 +604,12 @@ def test_walk_matches_derivative_recurrence():
     assert andre_polynomials(60) == andre_recurrence(60)
 
 
+def test_walk_past_the_stored_rows_matches_the_recurrence():
+    k_max = permutations._ANDRE_ROWS_STORED + 4
+    assert andre_polynomials(k_max) == andre_recurrence(k_max)
+    assert len(permutations._ANDRE_ROWS) == permutations._ANDRE_ROWS_STORED
+
+
 def test_polynomials_reproduce_derivatives():
     """d^(3k) smh / dz^(3k) equals P_k composed with smh itself."""
     order = 60

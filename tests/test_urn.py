@@ -10,6 +10,7 @@ from test_core import delta_apply_dict
 from dixonian.core import InvalidUrnStateError, delta_apply
 from dixonian.permutations import parity_class_counts_dp
 from dixonian.functions import dixon_egf_integers, dixon_series, weierstrass_P
+from dixonian import urn
 from dixonian.urn import (
     BRUTE_CAP_ENV,
     DEFAULT_BRUTE_CAP,
@@ -102,6 +103,29 @@ def test_parity_walk_matches_dict_oracle():
         assert parity_class_counts_dp(n) == (
             poly.get((0, n + 1), 0), poly.get((n + 1, 0), 0)
         )
+
+
+def test_request_past_the_cap_walks_on_without_storing():
+    n = urn._URN_ROWS_STORED + 20
+    rows = [[1, 0]]
+    for _ in range(n):
+        rows.append(delta_apply(rows[-1], M12))
+    assert history_polynomials(M12, 0, 1, n) == rows
+    assert history_counts(M12, 0, 1, n) == {j: c for j, c in enumerate(rows[-1]) if c}
+    assert len(urn._history_table(M12, 0, 1)) == urn._URN_ROWS_STORED
+    assert urn._history_table.cache_info().maxsize == urn._URN_STARTS_STORED
+
+
+def test_dead_t23_starts_raise_on_every_call():
+    # The stored rows stop at the seed, so a repeated call walks, and dies, again.
+    for p, q in ((1, 0), (0, 1), (1, 1)):
+        for _ in range(2):
+            with pytest.raises(InvalidUrnStateError):
+                history_polynomials(T23, p, q, 5)
+            with pytest.raises(InvalidUrnStateError):
+                history_counts(T23, p, q, 5)
+        assert history_polynomials(T23, p, q, 0) == [[int(j == p) for j in range(p + q + 1)]]
+    assert history_polynomials(T23, 2, 0, 30)[:11] == history_polynomials(T23, 2, 0, 10)
 
 
 # -- brute enumeration --------------------------------------------------
