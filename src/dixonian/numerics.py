@@ -5,11 +5,13 @@ rigorously propagated error bound.  The period pi3 comes from an AGM and is
 checked once per process against quadrature of its defining integral.
 sm and cm never need it: their argument is halved until the Taylor
 series converges fast, and the series is summed from the exact EGF
-tables in fixed-point integers with a counted rounding error.  Only the
-two finished sums enter interval arithmetic, where a Cauchy majorant
-bounds the tail and Dixon's duplication formulas double the argument
-back, so the bound is the final interval's radius.  The domain check
-uses a rational bound on pi3/3, and no precision is out of reach.
+tables in fixed-point integers with a counted rounding error.  From
+there on everything is an integer ball, a midpoint and a radius at one
+fixed scale 2^-B: a Cauchy majorant bounds the tail, Dixon's
+duplication formulas double the argument back, and each product or
+quotient rounds only in its floor, so the bound is the final ball's
+radius.  The domain check uses a rational bound on pi3/3, and no
+precision is out of reach.
 
 Each routine imports mpmath where it runs, so the exact parts of the
 package, which import this module, start without loading it.
@@ -302,88 +304,118 @@ def _taylor(table: Sequence[int], start: int, num: int, den: int, top: int,
     return acc, 0 if exact else 2
 
 
-def _halve_and_double(z: Fraction, k: int, prec: int):
-    """Intervals around (sm(z), cm(z)) from the series at w = z / 2^k and
-    k doublings, at prec bits.
+Ball = tuple[int, int]
+
+
+def _mul(a: Ball, b: Ball, bits: int) -> Ball:
+    """The product of two balls (mid, rad) at scale 2^-bits.
+
+    Proof of the radius: points a + x and b + y with |x| <= ra and
+    |y| <= rb have |(a + x)(b + y) - a b| <= |a| rb + |b| ra + ra rb, at
+    scale 2^-2bits; dividing by 2^bits and rounding up covers every point
+    product.  The floor of the midpoint moves it by less than one unit,
+    which is added only when the floor had a remainder, so exact inputs
+    keep radius 0 whenever their product is exact at this scale.
+    """
+    (am, ar), (bm, br) = a, b
+    product = am * bm
+    mid = product >> bits
+    rad = -(-(abs(am) * br + abs(bm) * ar + ar * br) >> bits)
+    return mid, rad + (mid << bits != product)
+
+
+def _div(a: Ball, b: Ball, bits: int) -> Ball:
+    """The quotient of two balls at scale 2^-bits, for a denominator ball
+    that lies above zero.
+
+    Proof of the radius: with points a + x and b + y as for :func:`_mul`
+    and b - rb > 0, (a + x)/(b + y) - a/b = (b x - a y) / (b (b + y)),
+    which is at most (|a| rb + b ra) / (b (b - rb)) in size; scaled by
+    2^bits and rounded up it covers every point quotient, and the floor
+    of the midpoint adds its remainder unit as in :func:`_mul`.  In the
+    doublings the denominator ball reaches zero only near or past the
+    pole.
+    """
+    (am, ar), (bm, br) = a, b
+    if bm - br <= 0:
+        raise ValueError("argument too close to the pole at -pi3/3")
+    mid, rem = divmod(am << bits, bm)
+    rad = -(-((abs(am) * br + bm * ar) << bits) // (bm * (bm - br)))
+    return mid, rad + (rem != 0)
+
+
+def _halve_and_double(z: Fraction, k: int, prec: int) -> tuple[Ball, Ball, int]:
+    """Balls around (sm(z), cm(z)) at scale 2^-bits, and bits, from the
+    series at w = z / 2^k and k doublings, aimed at prec bits.
 
     The two Taylor sums run in fixed point on the exact w (see
-    :func:`_taylor`); only the finished sums enter interval arithmetic,
-    where the product by w, the tail and the doublings stay.
+    :func:`_taylor`) and come out as balls at that scale; the product by
+    w, the tail and the doublings stay on integer balls, which round only
+    in their floors (:func:`_mul`, :func:`_div`).  The product by
+    w = num / den is floor(S num / den), with radius e |num| / den rounded
+    up plus the floor's remainder unit, for a sum S of radius e.
 
     The system sm' = cm^2, cm' = -sm^2 is dominated coefficientwise by
     Y' = Y^2, Y(0) = 1, that is Y = 1/(1 - z) (Cauchy's majorant method),
     so |[z^n] sm| and |[z^n] cm| are at most 1 and the tail after index N
-    is at most |w|^(N+1) / (1 - |w|).  Dixon's duplication formulas, from
-    his addition theorem (Quart. J. Pure Appl. Math. 24, 1890),
+    is at most |w|^(N+1) / (1 - |w|), which joins both radii rounded up,
+    computed exactly in integers.  Dixon's duplication formulas, from his
+    addition theorem (Quart. J. Pure Appl. Math. 24, 1890),
 
         sm 2u = sm u (1 + cm^3 u) / (cm u (1 + sm^3 u)),
         cm 2u = (cm^3 u - sm^3 u) / (cm u (1 + sm^3 u)),
 
     then carry w back to z.  Their common denominator is positive for
-    u in (-pi3/6, pi3/3), so an interval that is not shows z at or past
-    the pole at -pi3/3.
+    u in (-pi3/6, pi3/3), so a ball that is not above zero shows z at or
+    past the pole at -pi3/3.
     """
-    from mpmath import iv
-
-    saved = iv.prec
-    iv.prec = prec
-    try:
-        num, den = z.numerator, z.denominator << k
-        # -log2 |w| exceeds e, so N terms leave a tail below 2^-(prec + 1).
-        e = den.bit_length() - 1 - abs(num).bit_length()
-        top = (prec + 2) // e + 1
-        sm_table, cm_table = dixon_egf_integers(top)
-        # Sixteen guard bits keep the sums' radius of 2 units far below an
-        # ulp of the prec-bit intervals they enter, so that rounding them
-        # outward rarely spans two ulps.
-        bits = prec + 16
-
-        def fixed(table: Sequence[int], start: int):
-            total, radius = _taylor(table, start, num, den, top, bits)
-            return iv.mpf([total - radius, total + radius]) / (1 << bits)
-
-        w = iv.mpf(num) / den
-        r = (abs(w) ** (top + 1) / (1 - abs(w))).b
-        tail = iv.mpf([-r, r])
-        s = w * fixed(sm_table, 1) + tail
-        c = fixed(cm_table, 0) + tail
-        # Interval constants, so that no doubling converts an int.
-        zero, one, three = iv.mpf(0), iv.mpf(1), iv.mpf(3)
-        for _ in range(k):
-            s3, c3 = s**three, c**three
-            d = c * (one + s3)
-            if not d > zero:
-                raise ValueError("argument too close to the pole at -pi3/3")
-            s, c = s * (one + c3) / d, (c3 - s3) / d
-        return s, c
-    finally:
-        iv.prec = saved
+    num, den = z.numerator, z.denominator << k
+    mag = abs(num)
+    # -log2 |w| exceeds e, so N terms leave a tail below 2^-(prec + 1).
+    e = den.bit_length() - 1 - mag.bit_length()
+    top = (prec + 2) // e + 1
+    sm_table, cm_table = dixon_egf_integers(top)
+    # Sixteen guard bits keep the rounding of the sums and the balls far
+    # below the 2^-prec the caller aims at.
+    bits = prec + 16
+    # |w|^(top + 1) / (1 - |w|) = |num|^(top + 1) / (den^top (den - |num|)).
+    tail = -(-(mag ** (top + 1) << bits) // (den**top * (den - mag)))
+    total, radius = _taylor(sm_table, 1, num, den, top, bits)
+    mid, rem = divmod(total * num, den)
+    s = mid, -(-radius * mag // den) + (rem != 0) + tail
+    total, radius = _taylor(cm_table, 0, num, den, top, bits)
+    c = total, radius + tail
+    one = 1 << bits
+    for _ in range(k):
+        s3 = _mul(_mul(s, s, bits), s, bits)
+        c3 = _mul(_mul(c, c, bits), c, bits)
+        d = _mul(c, (one + s3[0], s3[1]), bits)
+        s, c = (_div(_mul(s, (one + c3[0], c3[1]), bits), d, bits),
+                _div((c3[0] - s3[0], c3[1] + s3[1]), d, bits))
+    return s, c, bits
 
 
-def _numeric(x) -> NumericValue:
-    """The midpoint and radius of an interval, both exact."""
+def _numeric(mid: int, rad: int, bits: int) -> NumericValue:
+    """The ball (mid, rad) at scale 2^-bits as two exact mpf values."""
     from mpmath import mp
+    from mpmath.libmp import from_man_exp
 
-    lo, hi = (mp.make_mpf(end) for end in x._mpi_)
-    return NumericValue(value=mp.ldexp(mp.fadd(lo, hi, exact=True), -1),
-                        error_bound=mp.ldexp(mp.fsub(hi, lo, exact=True), -1))
+    return NumericValue(value=mp.make_mpf(from_man_exp(mid, -bits)),
+                        error_bound=mp.make_mpf(from_man_exp(rad, -bits)))
 
 
-def _sm_cm(z: object, digits: int) -> tuple[NumericValue, NumericValue]:
-    """sm(z) and cm(z), with bounds aimed at 10^-(digits + 3).
+def _sm_cm(z: object, digits: int) -> tuple[Ball, Ball, int]:
+    """Balls around sm(z) and cm(z) at scale 2^-bits, and bits, with
+    radii aimed at 10^-(digits + 3).
 
     The argument is halved k times, with k about half the square root of
     the precision in bits, which balances the series' length against the
-    doublings; each doubling costs about two bits of interval width.
-    Near the pole the values, and with them the widths, grow, and a
-    second pass adds the bits the first one fell short by.  sm and cm are
-    analytic across their zero pi3/3, so that end of the domain admits an
-    argument rounded from pi3/3 at the caller's precision; the pole end
-    does not.
+    doublings; each doubling costs about two bits of radius.  Near the
+    pole the values, and with them the radii, grow, and a second pass
+    adds the bits the first one fell short by.  sm and cm are analytic
+    across their zero pi3/3, so that end of the domain admits an argument
+    rounded from pi3/3 at the caller's precision; the pole end does not.
     """
-    import mpmath
-    from mpmath import mp
-
     z = _exact(z)
     if z > _THIRD_PERIOD + Fraction(1, 10 ** (digits + 3)):
         raise ValueError("argument exceeds the first zero pi3/3")
@@ -394,33 +426,34 @@ def _sm_cm(z: object, digits: int) -> tuple[NumericValue, NumericValue]:
     k = max(0, m + abs(z.numerator).bit_length() - z.denominator.bit_length() + 1)
     prec = target + 3 * k + 20
     for _ in range(2):
-        s, c = map(_numeric, _halve_and_double(z, k, prec))
-        widest = max(s.error_bound, c.error_bound)
-        if widest <= mp.ldexp(1, -target):
+        s, c, bits = _halve_and_double(z, k, prec)
+        widest = max(s[1], c[1])
+        if widest <= 1 << (bits - target):
             break
-        prec += int(mpmath.log(widest, 2)) + target + 12
-    return s, c
+        # The widest radius is below 2^(widest.bit_length() - bits).
+        prec += widest.bit_length() - bits + target + 12
+    return s, c, bits
 
 
 def eval_sm(z: object, digits: int = 30) -> NumericValue:
     """sm(z) for real z in (-pi3/3, pi3/3]; poles bound the domain below."""
-    return _sm_cm(z, digits)[0]
+    s, _, bits = _sm_cm(z, digits)
+    return _numeric(*s, bits)
 
 
 def eval_cm(z: object, digits: int = 30) -> NumericValue:
     """cm(z) for real z in (-pi3/3, pi3/3]."""
-    return _sm_cm(z, digits)[1]
+    _, c, bits = _sm_cm(z, digits)
+    return _numeric(*c, bits)
 
 
 def eval_smh(z: object, digits: int = 30) -> NumericValue:
     """smh(z) = -sm(-z) for real z in [-pi3/3, pi3/3); pole at pi3/3."""
-    from mpmath import mp
-
-    inner = _sm_cm(-_exact(z), digits)[0]
-    # Negated exactly: a plain minus would round to the caller's precision.
-    return NumericValue(value=mp.fneg(inner.value, exact=True), error_bound=inner.error_bound)
+    (mid, rad), _, bits = _sm_cm(-_exact(z), digits)
+    return _numeric(-mid, rad, bits)
 
 
 def eval_cmh(z: object, digits: int = 30) -> NumericValue:
     """cmh(z) = cm(-z) for real z in [-pi3/3, pi3/3)."""
-    return _sm_cm(-_exact(z), digits)[1]
+    _, c, bits = _sm_cm(-_exact(z), digits)
+    return _numeric(*c, bits)

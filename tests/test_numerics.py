@@ -1,7 +1,11 @@
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from dixonian import numerics
@@ -310,6 +314,120 @@ def test_bounds_are_honest_on_grid(fn):
         with mp.workdps(1040):
             gap = abs(lo.value - hi.value)
             assert gap <= lo.error_bound + hi.error_bound, f"bound broken at z = {z}, 1000 digits"
+
+
+@pytest.mark.parametrize("digits", [30, 80])
+def test_bounds_meet_the_precision_contract_on_grid(digits):
+    # The CLI asks for digits + 5 and prints digits places, so a bound at
+    # or below 10^-(digits + 3) is what keeps every place it prints.
+    for fn in (eval_smh, eval_cmh):
+        for k in range(-88, 89):
+            v = fn(Fraction(k, 50), digits)
+            assert v.error_bound <= mpf(10) ** -(digits + 3), f"{fn.__name__}({k}/50)"
+
+
+def test_evaluation_is_thread_safe():
+    # A 1000-digit evaluation shares the process with 30-digit ones: no
+    # precision one of them sets may reach another, or mpmath's contexts.
+    iv_prec = mpmath.iv.prec
+    done = threading.Event()
+    bounds = []
+
+    def high():
+        try:
+            for _ in range(40):
+                bounds.append(eval_cmh(Fraction(-8, 5), 1000).error_bound)
+        finally:
+            done.set()
+
+    def low(offset):
+        k = offset
+        while not done.is_set():
+            eval_cmh(Fraction(k % 151 - 75, 50), 30)
+            k += 7
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=high)]
+        threads += [threading.Thread(target=low, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(bounds) == 40 and all(b <= mpf(10) ** -1003 for b in bounds)
+    assert mpmath.iv.prec == iv_prec
+
+
+balls = st.tuples(st.integers(-(2**80), 2**80), st.integers(0, 2**40))
+
+
+def point(ball, t: Fraction) -> Fraction:
+    """The point at t in [-1, 1] across the ball (mid, rad)."""
+    return ball[0] + t * ball[1]
+
+
+unit = st.fractions(-1, 1, max_denominator=1000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(balls, balls, st.integers(0, 64), unit, unit)
+def test_ball_product_holds_every_point_product(a, b, bits, s, t):
+    mid, rad = numerics._mul(a, b, bits)
+    assert abs(point(a, s) * point(b, t) / 2**bits - mid) <= rad
+
+
+@settings(max_examples=200, deadline=None)
+@given(balls, balls, st.integers(0, 64), unit, unit)
+def test_ball_quotient_holds_every_point_quotient(a, b, bits, s, t):
+    # The denominator ball moved above zero, keeping its radius.
+    b = (abs(b[0]) + b[1] + 1, b[1])
+    mid, rad = numerics._div(a, b, bits)
+    assert abs(point(a, s) / point(b, t) * 2**bits - mid) <= rad
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-(2**80), 2**80), st.integers(1, 2**80), st.integers(0, 64))
+def test_exact_balls_round_only_in_the_floor(x, y, bits):
+    # Radius 0 when the result is exact at the scale, else the one unit
+    # of the floor's remainder.
+    assert numerics._mul((x << bits, 0), (y, 0), bits) == (x * y, 0)
+    assert numerics._div((x * y, 0), (y, 0), bits) == (x << bits, 0)
+    mid, rad = numerics._mul((x, 0), (y, 0), bits)
+    assert rad == (mid << bits != x * y)
+    mid, rad = numerics._div((x, 0), (y, 0), bits)
+    assert rad == (mid * y != x << bits)
+
+
+@given(balls, st.integers(-(2**40), 0), st.integers(0, 2**40), st.integers(0, 64))
+def test_quotient_by_a_ball_reaching_zero_raises(a, low, rad, bits):
+    # A denominator ball whose lower end low is at or below zero.
+    with pytest.raises(ValueError, match="too close to the pole at -pi3/3"):
+        numerics._div(a, (low + rad, rad), bits)
+
+
+_NO_IV = """
+import mpmath
+class Gone:
+    def __getattribute__(self, name):
+        raise AssertionError(f"mpmath.iv.{name} was read")
+mpmath.iv = Gone()
+from fractions import Fraction as F
+import dixonian.numerics as n
+for d in (15, 30, 100, 1000):
+    print(n.eval_smh(F(1, 2), d).to_string(d), n.eval_cmh(F(-8, 5), d).to_string(d))
+"""
+
+
+def test_evaluation_uses_no_interval_arithmetic(run_fresh):
+    # sm and cm run on integer balls: with mpmath.iv unreadable, a fresh
+    # interpreter still prints what this one does.
+    want = [fn(z, d).to_string(d) for d in (15, 30, 100, 1000)
+            for fn, z in ((eval_smh, Fraction(1, 2)), (eval_cmh, Fraction(-8, 5)))]
+    assert run_fresh(_NO_IV) == want
 
 
 def test_third_period_bound_is_tight():
