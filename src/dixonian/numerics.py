@@ -1,25 +1,30 @@
-"""Validated numeric evaluation: quadrature, constants, and sm/cm values.
+"""Validated numeric evaluation: sm/cm values, the period pi3, quadrature.
 
-Every routine returns a :class:`NumericValue`, a number together with a
-rigorously propagated error bound.  The period pi3 comes from an AGM and is
-checked once per process against quadrature of its defining integral.
-sm and cm never need it: their argument is halved until the Taylor
-series converges fast, and the series is summed from the exact EGF
-tables in fixed-point integers with a counted rounding error.  From
-there on everything is an integer ball, a midpoint and a radius at one
-fixed scale 2^-B: a Cauchy majorant bounds the tail, Dixon's
-duplication formulas double the argument back, and each product or
-quotient rounds only in its floor, so the bound is the final ball's
-radius.  The domain check uses a rational bound on pi3/3, and no
+Every routine returns a :class:`NumericValue`, an integer ball: a
+midpoint and a radius at one scale 2^-bits.  sm and cm never need pi3:
+their argument is halved until the Taylor series converges fast, and the
+series is summed from the exact EGF tables in fixed-point integers with a
+counted rounding error.  From there on everything is an integer ball that
+rounds only in its floors: a Cauchy majorant bounds the tail, and Dixon's
+duplication formulas double the argument back, so the bound is the final
+ball's radius.  The domain check uses a rational bound on pi3/3, and no
 precision is out of reach.
 
-Each routine imports mpmath where it runs, so the exact parts of the
-package, which import this module, start without loading it.
+pi3 = 2^(1/3) 3^(1/4) pi / AGM(1, (sqrt 6 + sqrt 2)/4) runs in integers
+as well: floored roots, a Machin series for pi and an AGM on floors, each
+with a counted error.  Once per process it is checked against the first
+zero of cm, which the sm/cm evaluator brackets: mathematics independent
+of the AGM reduction.  e^-t, which the Yule values need, is a ball too.
+
+Only the quadrature, the Abelian integral and the mpf views of a ball
+(``value`` and ``error_bound``) import mpmath, where they run; evaluating
+sm, cm and pi3 and printing their digits never load it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -42,41 +47,87 @@ __all__ = [
     "eval_cmh",
 ]
 
+_LOG10_2 = math.log10(2)
+
+
+def _mpf(man: int, bits: int) -> mpmath.mpf:
+    """man * 2^-bits as an exact mpf."""
+    from mpmath import mp
+    from mpmath.libmp import from_man_exp
+
+    return mp.make_mpf(from_man_exp(man, -bits))
+
 
 class NumericValue(NamedTuple):
-    """A computed value with an explicit absolute error bound."""
+    """A computed value with an explicit absolute error bound: the ball of
+    midpoint mid * 2^-bits and radius rad * 2^-bits."""
 
-    value: mpmath.mpf
-    error_bound: mpmath.mpf
+    mid: int
+    rad: int
+    bits: int
+
+    @classmethod
+    def from_mpf(cls, value: mpmath.mpf, bound: mpmath.mpf) -> NumericValue:
+        """The ball of two finite mpf values, exactly, at their finer scale."""
+        parts = []
+        for x in (value, bound):
+            sign, man, exp, _ = x._mpf_
+            if not man and exp:
+                raise ValueError(f"cannot hold {x} in a ball")
+            parts.append((-man if sign else man, exp))
+        (vm, ve), (bm, be) = parts
+        e = min(ve, be)
+        return cls(vm << (ve - e), bm << (be - e), -e)
+
+    @property
+    def value(self) -> mpmath.mpf:
+        """The midpoint as an exact mpf; reading it imports mpmath."""
+        return _mpf(self.mid, self.bits)
+
+    @property
+    def error_bound(self) -> mpmath.mpf:
+        """The radius as an exact mpf; reading it imports mpmath."""
+        return _mpf(self.rad, self.bits)
 
     def decimal_places(self) -> int:
-        """Largest d such that rounding to d places is justified."""
-        if self.error_bound <= 0:
+        """Largest d >= 0 with 2 * error_bound <= 10^-d, so that rounding
+        to d places is justified; decided by exact integer comparison."""
+        if self.rad <= 0:
             return 10**6
-        import mpmath
-
-        d = int(mpmath.floor(-mpmath.log10(2 * self.error_bound)))
-        return max(d, 0)
+        # 2 rad 10^d <= 2^bits, with a negative bits moved to the left.
+        twice, bits = 2 * self.rad << max(0, -self.bits), max(0, self.bits)
+        one = 1 << bits
+        # 2^bits / twice exceeds 2^(bits - twice.bit_length()), so this d
+        # is at or below the answer, a float error in the log included.
+        d = max(0, math.floor((bits - twice.bit_length()) * _LOG10_2) - 1)
+        scaled = twice * 10**d
+        if scaled > one:
+            return 0
+        while scaled * 10 <= one:
+            scaled *= 10
+            d += 1
+        return d
 
     def to_string(self, places: int) -> str:
         """Fixed-point rendering, truncated toward zero and clamped to the
         justified precision."""
-        import mpmath
-        from mpmath import mp, mpf
-
         places = min(places, self.decimal_places())
-        # Every digit of the integer part and of the places must survive
-        # the scaling, whatever the caller's working precision.
-        with mp.workdps(places + max(mpmath.mag(self.value), 0) // 3 + 10):
-            scaled = int(self.value * mpf(10) ** places)
-        sign = "-" if scaled < 0 else ""
-        digits = _decimal(abs(scaled)).rjust(places + 1, "0")
+        magnitude = abs(self.mid) * 10**places
+        if self.bits >= 0:
+            scaled = magnitude >> self.bits
+        else:
+            scaled = magnitude << -self.bits
+        sign = "-" if self.mid < 0 and scaled else ""
+        digits = _decimal(scaled).rjust(places + 1, "0")
         if places == 0:
             return sign + digits
         return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
     def __float__(self) -> float:
-        return float(self.value)
+        # Integer true division rounds correctly, to nearest, as mpmath does.
+        if self.bits <= 0:
+            return float(self.mid << -self.bits)
+        return self.mid / (1 << self.bits)
 
 
 _BLOCK = 10**600
@@ -176,21 +227,113 @@ def tanh_sinh_quad(f, a: object, b: object, dps: int = 30) -> NumericValue:
                     break
             prev = value
         bound = diff + mpf(10) ** (-(dps + 2)) * (1 + abs(value))
-        return NumericValue(value=+value, error_bound=+bound)
+        return NumericValue.from_mpf(+value, +bound)
+
+
+Ball = tuple[int, int]
+
+
+def _icbrt(n: int) -> int:
+    """floor(n^(1/3)) for n > 0, by Newton's method from above: each step
+    stays at or above the floor of the root, by the inequality of the
+    means, and falls until it reaches it."""
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
+def _machin_pi(bits: int) -> Ball:
+    """A ball around pi at scale 2^-bits: pi = 16 arctan(1/5) - 4 arctan(1/239).
+
+    Proof of the radius: arctan(1/x) is the sum of the alternating terms
+    1 / ((2j + 1) x^(2j + 1)).  The loop holds p = floor(2^bits / x^(2j + 1))
+    exactly, since a floor divided by an integer and floored again is the
+    floor of the quotient, and adds floor(p / (2j + 1)), within one unit
+    of the scaled term.  It stops at the first J with p = 0, where the
+    term is below one unit, and the alternating tail of falling terms from
+    there is smaller than that term.  So each sum is within J + 1 units,
+    and the radius is 16 (J + 1) + 4 (J' + 1) for the two term counts.
+    """
+    mid = rad = 0
+    for x, weight in ((5, 16), (239, -4)):
+        power, x2, total, j = (1 << bits) // x, x * x, 0, 0
+        while power:
+            term = power // (2 * j + 1)
+            total += -term if j & 1 else term
+            power //= x2
+            j += 1
+        mid += weight * total
+        rad += abs(weight) * (j + 1)
+    return mid, rad
+
+
+def _pi3_ball(bits: int) -> Ball:
+    """A ball around pi3 = 2^(1/3) 3^(1/4) pi / AGM(1, k') at scale
+    2^-bits, with k' = (sqrt 6 + sqrt 2)/4.
+
+    The roots are floors, within one unit below their values, and pi comes
+    from :func:`_machin_pi`.  The AGM runs on floors, from a = 2^bits and
+    b = floor((floor(sqrt 6) + floor(sqrt 2)) / 4) at this scale, which
+    lies less than 3/2 units below k'.  Proof of its radius: the AGM M is
+    increasing in each argument and homogeneous of degree one, so lowering
+    arguments of at least m by less than x lowers M(a, b) by less than
+    x M(a, b) / m <= x max(a, b) / m.  Every argument here lies between
+    k' less two units and 1, a ratio below 1.04, so the start loses less
+    than 2 units of M and each floored step less than 2 more, while none
+    gains.  After N
+    steps the pair a >= b brackets its own AGM, so M lies in
+    [b, a + 2 (N + 1)].  :func:`_mul` and :func:`_div` combine the balls.
+    """
+    a = 1 << bits
+    b = (math.isqrt(6 << 2 * bits) + math.isqrt(2 << 2 * bits)) >> 2
+    steps = 0
+    while a - b > 1:
+        a, b = (a + b) >> 1, math.isqrt(a * b)
+        steps += 1
+    agm = b, a - b + 2 * (steps + 1)
+    cbrt2 = _icbrt(2 << 3 * bits), 1
+    root3 = math.isqrt(math.isqrt(3 << 4 * bits)), 1
+    return _div(_mul(_mul(cbrt2, root3, bits), _machin_pi(bits), bits), agm, bits)
+
+
+def _pi3_bits(dps: int) -> int:
+    """Working bits for pi3 with a radius below 10^-(dps + 7): the Machin
+    sums lose about log2(bits) + 3 bits, which the guard covers."""
+    target = math.ceil((dps + 7) / _LOG10_2)
+    return target + 2 * target.bit_length() + 8
 
 
 _PI3_CHECK_DPS = 25
+# The check's slack on each side of pi3/3: a third of an error of 1e-20
+# in pi3 already exceeds it.
+_PI3_CHECK_GAP = Fraction(1, 10**22)
 _pi3_lock = threading.Lock()
 _pi3_checked = False
 
 
-def _pi3_agm(dps: int) -> mpmath.mpf:
-    """pi3 = 2^(1/3) 3^(1/4) pi / AGM(1, (sqrt 6 + sqrt 2)/4) to dps + 10 digits."""
-    from mpmath import mp
+def _check_pi3() -> None:
+    """Raise unless the first zero of cm lies within 1e-22 of the pi3/3
+    ball that :func:`_pi3_ball` gives at _PI3_CHECK_DPS digits.
 
-    with mp.workdps(dps + 10):
-        k_prime = (mp.sqrt(6) + mp.sqrt(2)) / 4
-        return mp.cbrt(2) * mp.root(3, 4) * mp.pi / mp.agm(1, k_prime)
+    Near pi3/3, cm' = -sm^2 < 0, and pi3/3 is the only zero of cm in
+    (0, 2 pi3/3).  So balls with cm(lo) > 0 > cm(hi), at lo and hi the
+    ends of the pi3/3 ball widened by the gap, put the zero between them.
+    The points come straight to :func:`_halve_and_double`: its denominators
+    stay positive up to 2 pi3/3, past the domain that eval_cm admits.
+    Six halvings and 160 bits leave radii near 1e-48, far below the
+    1e-22 by which cm moves over the gap, for sm stays near 1 there.
+    """
+    bits = _pi3_bits(_PI3_CHECK_DPS)
+    mid, rad = _pi3_ball(bits)
+    lo = Fraction(mid - rad, 3 << bits) - _PI3_CHECK_GAP
+    hi = Fraction(mid + rad, 3 << bits) + _PI3_CHECK_GAP
+    for z, sign in ((lo, 1), (hi, -1)):
+        _, (c, rc), _ = _halve_and_double(z, 6, 160)
+        if sign * c - rc <= 0:
+            raise AssertionError("pi3 from the AGM misses the first zero of cm")
 
 
 @lru_cache(maxsize=16)
@@ -199,44 +342,30 @@ def pi3(dps: int = 30) -> NumericValue:
 
     pi3 = Gamma(1/3)^3 sqrt(3) / (2 pi), and Borwein & Zucker's reduction
     of Gamma(1/3) to a complete elliptic integral of modulus sin 15 degrees
-    turns it into the AGM form of :func:`_pi3_agm`.  The AGM route is
-    cross-checked once per process against tanh-sinh quadrature of the
-    defining integral; a disagreement beyond the bounds raises.
+    turns it into the AGM form of :func:`_pi3_ball`, evaluated in integers
+    to a radius below 10^-(dps + 7).  The AGM route is checked once per
+    process against the first zero of cm (:func:`_check_pi3`); a miss
+    raises.
     """
-    from mpmath import mp, mpf
-
     global _pi3_checked
-    with mp.workdps(dps + 10):
-        closed = _pi3_agm(dps)
-        bound = abs(closed) * mpf(10) ** (-(dps + 7))
-        result = NumericValue(value=+closed, error_bound=+bound)
+    bits = _pi3_bits(dps)
+    result = NumericValue(*_pi3_ball(bits), bits)
     if not _pi3_checked:
         # The flag goes up only once the check has passed, so no thread
         # can return a value that was never checked.
         with _pi3_lock:
             if not _pi3_checked:
-                q = tanh_sinh_quad(
-                    lambda t: (1 - t**3) ** (mpf(-2) / 3), 0, 1, dps=_PI3_CHECK_DPS
-                )
-                with mp.workdps(_PI3_CHECK_DPS + 10):
-                    # Compared at the quadrature's precision: a caller's dps
-                    # below it would leave the AGM value too coarse to match.
-                    gap = abs(3 * q.value - _pi3_agm(_PI3_CHECK_DPS))
-                    if gap > 3 * q.error_bound + mpf(10) ** (-(_PI3_CHECK_DPS + 1)):
-                        raise AssertionError(
-                            "quadrature and closed form for pi3 disagree beyond bounds"
-                        )
+                _check_pi3()
                 _pi3_checked = True
     return result
 
 
 def zeta0(dps: int = 30) -> NumericValue:
-    """The real period 2 pi3 / 3 of the degenerate cubic pencil."""
-    from mpmath import mp
-
-    p = pi3(dps)
-    with mp.workdps(dps + 10):
-        return NumericValue(value=p.value * 2 / 3, error_bound=p.error_bound)
+    """The real period 2 pi3 / 3 of the degenerate cubic pencil: the pi3
+    ball times 2/3, whose floor adds one unit when it has a remainder."""
+    mid, rad, bits = pi3(dps)
+    third, rem = divmod(2 * mid, 3)
+    return NumericValue(third, -(-2 * rad // 3) + (rem != 0), bits)
 
 
 def abelian_I(y: object, dps: int = 30) -> NumericValue:
@@ -248,7 +377,7 @@ def abelian_I(y: object, dps: int = 30) -> NumericValue:
         if yv < 0:
             raise ValueError("abelian_I is defined here for y >= 0 only")
         if yv == 0:
-            return NumericValue(value=mpf(0), error_bound=mpf(0))
+            return NumericValue(0, 0, 0)
     # The raw y is passed through so the quadrature converts it at its own
     # (higher) working precision.
     return tanh_sinh_quad(lambda w: (1 + w**3) ** (mpf(-2) / 3), 0, y, dps=dps)
@@ -263,13 +392,15 @@ _THIRD_PERIOD = Fraction("1.76663875028544995731368949964843870257186853820256")
 
 
 def _exact(x: object) -> Fraction:
-    """x as an exact rational: floats and mpf values are dyadic."""
-    import mpmath
-
-    if isinstance(x, (float, mpmath.mpf)) and not mpmath.isfinite(x):
-        raise ValueError(f"cannot evaluate at {x}")
-    if isinstance(x, mpmath.mpf):
+    """x as an exact rational: floats and mpf values are dyadic.  An mpf
+    can only arrive once mpmath is loaded, so this never loads it."""
+    mpmath = sys.modules.get("mpmath")
+    if mpmath is not None and isinstance(x, mpmath.mpf):
+        if not mpmath.isfinite(x):
+            raise ValueError(f"cannot evaluate at {x}")
         return Fraction(*mpmath.libmp.to_rational(x._mpf_))
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"cannot evaluate at {x}")
     if isinstance(x, (Fraction, int, float, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a real number")
@@ -302,9 +433,6 @@ def _taylor(table: Sequence[int], start: int, num: int, den: int, top: int,
         exact = exact and not rem
         acc += table[n] << prec
     return acc, 0 if exact else 2
-
-
-Ball = tuple[int, int]
 
 
 def _mul(a: Ball, b: Ball, bits: int) -> Ball:
@@ -395,15 +523,6 @@ def _halve_and_double(z: Fraction, k: int, prec: int) -> tuple[Ball, Ball, int]:
     return s, c, bits
 
 
-def _numeric(mid: int, rad: int, bits: int) -> NumericValue:
-    """The ball (mid, rad) at scale 2^-bits as two exact mpf values."""
-    from mpmath import mp
-    from mpmath.libmp import from_man_exp
-
-    return NumericValue(value=mp.make_mpf(from_man_exp(mid, -bits)),
-                        error_bound=mp.make_mpf(from_man_exp(rad, -bits)))
-
-
 def _sm_cm(z: object, digits: int) -> tuple[Ball, Ball, int]:
     """Balls around sm(z) and cm(z) at scale 2^-bits, and bits, with
     radii aimed at 10^-(digits + 3).
@@ -438,22 +557,62 @@ def _sm_cm(z: object, digits: int) -> tuple[Ball, Ball, int]:
 def eval_sm(z: object, digits: int = 30) -> NumericValue:
     """sm(z) for real z in (-pi3/3, pi3/3]; poles bound the domain below."""
     s, _, bits = _sm_cm(z, digits)
-    return _numeric(*s, bits)
+    return NumericValue(*s, bits)
 
 
 def eval_cm(z: object, digits: int = 30) -> NumericValue:
     """cm(z) for real z in (-pi3/3, pi3/3]."""
     _, c, bits = _sm_cm(z, digits)
-    return _numeric(*c, bits)
+    return NumericValue(*c, bits)
 
 
 def eval_smh(z: object, digits: int = 30) -> NumericValue:
     """smh(z) = -sm(-z) for real z in [-pi3/3, pi3/3); pole at pi3/3."""
     (mid, rad), _, bits = _sm_cm(-_exact(z), digits)
-    return _numeric(-mid, rad, bits)
+    return NumericValue(-mid, rad, bits)
 
 
 def eval_cmh(z: object, digits: int = 30) -> NumericValue:
     """cmh(z) = cm(-z) for real z in [-pi3/3, pi3/3)."""
     _, c, bits = _sm_cm(-_exact(z), digits)
-    return _numeric(*c, bits)
+    return NumericValue(*c, bits)
+
+
+# -- e^-t ----------------------------------------------------------------
+
+
+def _exp_neg(t: Fraction, bits: int) -> Ball:
+    """A ball around e^-t at scale 2^-bits for rational t >= 0, whose
+    midpoint lies in [0, 2^bits].
+
+    t is halved j times, to s = t / 2^j < 2^-3, the series of e^-s is
+    summed forward in fixed point at a finer scale, and j squarings by
+    :func:`_mul` carry it back to e^-t.  Proof of the series radius: each
+    term T_i = floor(T_(i-1) s / i) lies below its scaled value by less
+    than 2 units, since it inherits at most an eighth of the error before
+    it and adds its own floor's.  The sum stops at the first T_I = 0,
+    whose term is then below 2 units, and the alternating tail of falling
+    terms from there is smaller than that term: 2 I + 2 units in all.
+    The terms never rise, so the sum, and each square of it, stays in
+    [0, 1]; the final floor to 2^-bits adds one unit.
+    """
+    num, den = t.numerator, t.denominator
+    if not num:
+        return 1 << bits, 0
+    # Halvings and series terms balance near half the root of the bits.
+    j = max(0, num.bit_length() - den.bit_length() + max(4, math.isqrt(bits) // 2))
+    den <<= j
+    # Each squaring at most doubles the radius and adds a unit.
+    work = bits + j + 2 * bits.bit_length() + 4
+    term = total = 1 << work
+    i = 0
+    while term:
+        i += 1
+        term = term * num // (den * i)
+        total += -term if i & 1 else term
+    ball = total, 2 * i + 2
+    for _ in range(j):
+        ball = _mul(ball, ball, work)
+    mid, rad = ball
+    shift = work - bits
+    return mid >> shift, -(-rad >> shift) + 1

@@ -20,7 +20,14 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from dixonian.core import GrowingTable, PowerSeries, delta_apply
-from dixonian.numerics import NumericValue, abelian_I, eval_cmh, eval_smh
+from dixonian.numerics import (
+    NumericValue,
+    _exp_neg,
+    _mul,
+    abelian_I,
+    eval_cmh,
+    eval_smh,
+)
 
 __all__ = [
     "UrnRule",
@@ -313,23 +320,36 @@ def yule_rk4(
 
 def yule_value(expr: str, t: Fraction, digits: int) -> NumericValue:
     """Certified X(t) (``expr`` "yuleX") or Y(t) ("yuleY") to ``digits``
-    places: X(t) = e^-t smh(1 - e^-t) and Y(t) = e^-t cmh(1 - e^-t)."""
-    from mpmath import mp, mpf
+    places: X(t) = e^-t smh(1 - e^-t) and Y(t) = e^-t cmh(1 - e^-t).
 
+    e^-t is a ball (E, r) at scale 2^-B, and smh or cmh is evaluated at
+    the exact dyadic u = 1 - E 2^-B in [0, 1].  The true 1 - e^-t lies
+    within r 2^-B of u, and smh' = cmh^2 and cmh' = smh^2 are both
+    increasing from 0 up to the pole at pi3/3, so the derivative at the
+    upper end of that ball, from a few-digit ball there, bounds how far
+    the value moves.  The product with e^-t is a ball product.
+    """
     if t < 0:
         raise ValueError("the embedding runs forward in time")
-    with mp.workdps(digits + 15):
-        decay = mp.exp(-mpf(t.numerator) / t.denominator)
-        u = 1 - decay
-        inner = eval_smh(u, digits + 5) if expr == "yuleX" else eval_cmh(u, digits + 5)
-        value = decay * inner.value
-        bound = decay * inner.error_bound + mpf(10) ** (-(digits + 10))
-    return NumericValue(value=value, error_bound=bound)
+    bits = math.ceil((digits + 10) * math.log2(10))
+    decay, spread = _exp_neg(t, bits)
+    one = 1 << bits
+    u = Fraction(one - decay, one)
+    inner, slope = (eval_smh, eval_cmh) if expr == "yuleX" else (eval_cmh, eval_smh)
+    f = inner(u, digits + 5)
+    moved = 0
+    if spread:
+        d = slope(u + Fraction(spread, one), 5)
+        top = abs(d.mid) + d.rad
+        # spread 2^-bits times (top 2^-d.bits)^2, in units of 2^-f.bits.
+        moved = -(-(spread * top * top << f.bits) >> (bits + 2 * d.bits))
+    mid, rad = _mul((decay, spread), (f.mid, f.rad + moved), bits)
+    return NumericValue(mid, rad, f.bits)
 
 
 def yule_closed_form(t: float, dps: int = 25) -> tuple[float, float]:
     """(X(t), Y(t)) as floats, read off :func:`yule_value`."""
-    x, y = (float(yule_value(e, Fraction(t), dps).value) for e in ("yuleX", "yuleY"))
+    x, y = (float(yule_value(e, Fraction(t), dps)) for e in ("yuleX", "yuleY"))
     return x, y
 
 

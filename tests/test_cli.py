@@ -442,19 +442,29 @@ def _loaded_after(*commands: str) -> str:
 
 
 def test_exact_subcommands_never_load_mpmath(run_fresh):
-    # Tables, fraction and combinatorial checks and listings are exact:
-    # they pay for neither the float library nor the other output formats.
-    exact = (
+    # Tables, fraction and combinatorial checks and listings are exact,
+    # and evaluation runs on integer balls: no subcommand pays for the
+    # float library, nor for an output format it does not print.
+    commands = (
         "series sm --order 5",
         "verify conrad-j --depth 3",
         "verify parity --n 4",
         "verify andre --max-n 3",
         "enumerate perms --n 3 --class X",
+        "eval smh 1/2",
+        "eval cmh -1.7 --digits 30",
+        "eval pi3 --digits 60",
+        "eval yuleX 1",
+        "eval yuleY 2 --digits 60",
+        "verify yule",
     )
-    assert run_fresh(_loaded_after(*exact, "eval smh 1/2")) == ["-"] * 5 + ["mpmath"]
-    assert run_fresh(_loaded_after("verify yule")) == ["mpmath"]
+    assert run_fresh(_loaded_after(*commands)) == ["-"] * len(commands)
     assert run_fresh(_loaded_after("series sm --order 3 --format json")) == ["json"]
     assert run_fresh(_loaded_after("series sm --order 3 --format csv")) == ["csv"]
+    assert run_fresh(_loaded_after("eval pi3 --format json", "eval smh 1 --format json")) == [
+        "json", "json"]
+    assert run_fresh(_loaded_after("eval yuleY 1 --format csv", "eval cmh 1 --format csv")) == [
+        "csv", "csv"]
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect(run_fresh):

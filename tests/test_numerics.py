@@ -54,7 +54,7 @@ def test_pi3_value_and_bound():
 def test_pi3_matches_gamma_closed_form():
     # The library takes pi3 from an AGM; the Gamma form
     # Gamma(1/3)^3 sqrt(3) / (2 pi) = B(1/3, 1/3) is the independent oracle.
-    for d in (15, 100, 300):
+    for d in (15, 100, 300, 600):
         p = pi3(d)
         with mp.workdps(d + 30):
             ref = mpmath.beta(mpf(1) / 3, mpf(1) / 3)
@@ -189,10 +189,12 @@ def test_fixed_point_taylor_sum_is_within_its_radius(prec):
 
 
 def test_tanh_sinh_reproduces_pi3_within_its_bound():
+    # Quadrature of the defining integral against the integer AGM.
     for dps in (15, 25, 40):
         q = tanh_sinh_quad(lambda t: (1 - t**3) ** (mpf(-2) / 3), 0, 1, dps=dps)
+        p = pi3(dps + 10)
         with mp.workdps(dps + 20):
-            assert abs(3 * q.value - numerics._pi3_agm(dps)) <= 3 * q.error_bound
+            assert abs(3 * q.value - p.value) <= 3 * q.error_bound + p.error_bound
 
 
 def test_tail_majorant_premise():
@@ -240,13 +242,48 @@ def test_pole_is_found_by_the_doubling():
 
 
 def test_numeric_value_clamps_rendering():
-    v = NumericValue(value=mpf("1.23456"), error_bound=mpf("0.001"))
+    v = NumericValue.from_mpf(mpf("1.23456"), mpf("0.001"))
     assert v.decimal_places() == 2
     assert v.to_string(5) == "1.23"
-    exact = NumericValue(value=mpf(3), error_bound=mpf(0))
+    exact = NumericValue.from_mpf(mpf(3), mpf(0))
     assert exact.to_string(2) == "3.00"
     # Past the 4300 digits Python will turn into a string in one piece.
-    assert NumericValue(mpf(-1.25), mpf(0)).to_string(6000) == "-1.25" + "0" * 5998
+    assert NumericValue.from_mpf(mpf(-1.25), mpf(0)).to_string(6000) == "-1.25" + "0" * 5998
+
+
+def test_mpf_views_are_the_exact_ball():
+    v = NumericValue.from_mpf(mpf("-1.23456"), mpf("0.001"))
+    assert v.value == mpf("-1.23456") and v.error_bound == mpf("0.001")
+    assert NumericValue(5, 3, -2).value == 20 and NumericValue(5, 3, -2).error_bound == 12
+    assert float(NumericValue(-3, 0, 2)) == -0.75 and float(NumericValue(3, 0, -1)) == 6.0
+    with pytest.raises(ValueError):
+        NumericValue.from_mpf(mpf("inf"), mpf(0))
+
+
+def _just(side: int, d: int) -> NumericValue:
+    """A dyadic bound within 2^-400 of 10^-d / 2, on the given side."""
+    bits = 400 + 4 * d
+    half = (1 << bits) // (2 * 10**d) + (side > 0)
+    return NumericValue(0, half, bits)
+
+
+@pytest.mark.parametrize("d", [0, 1, 5, 19, 20, 21, 100, 1000])
+def test_decimal_places_is_exact_at_powers_of_ten(d):
+    # A bound b justifies d places exactly when 2 b <= 10^-d: just below
+    # half of 10^-d it does, just above it justifies one place fewer.
+    assert _just(-1, d).decimal_places() == d
+    assert _just(+1, d).decimal_places() == max(d - 1, 0)
+
+
+def test_decimal_places_at_half_a_unit_and_a_hair():
+    # b = 10^-20 (1 + 10^-25) / 2: 2 b exceeds 10^-20, so only 19 places
+    # are justified, though a 53-bit logarithm of 2 b reads exactly -20.
+    with mp.workdps(80):
+        b = mpf(10) ** -20 * (1 + mpf(10) ** -25) / 2
+    assert NumericValue.from_mpf(mpf(1), b).decimal_places() == 19
+    assert NumericValue(1, 1, 1).decimal_places() == 0
+    assert NumericValue(1, 1, -3).decimal_places() == 0
+    assert NumericValue(1, 0, 7).decimal_places() == 10**6
 
 
 def smh_by_inversion(x: Fraction, guess: str) -> mpmath.mpf:
@@ -444,10 +481,9 @@ def test_third_period_bound_is_tight():
 
 _PI3_THREADS = """
 import threading
-import mpmath
 import dixonian.numerics as numerics
-agm = mpmath.mp.agm
-mpmath.mp.agm = lambda a, b: agm(a, b) * (1 + mpmath.mpf(10) ** -12)
+ball = numerics._pi3_ball
+numerics._pi3_ball = lambda bits: (lambda m, r: (m + m // 10**12, r))(*ball(bits))
 barrier = threading.Barrier(4)
 outcomes = [None] * 4
 def ask(i):
@@ -469,13 +505,13 @@ print(" ".join(outcomes))
 
 def test_pi3_check_holds_under_threads(run_fresh):
     # A corrupted closed form must be caught by every thread that asks for
-    # pi3 while the one-time quadrature check is still running.
+    # pi3 while the one-time check is still running.
     assert run_fresh(_PI3_THREADS) == ["raised"] * 4
 
 
 def test_evaluation_never_computes_pi3(run_fresh):
     # sm and cm check their domain against a rational bound, so neither
-    # they nor the Yule closed form run the one-time quadrature check.
+    # they nor the Yule closed form run the one-time pi3 check.
     code = (
         "from fractions import Fraction as F\n"
         "import dixonian.numerics as n, dixonian.urn as u\n"
@@ -486,6 +522,59 @@ def test_evaluation_never_computes_pi3(run_fresh):
 
 
 def test_pi3_check_passes_at_low_precision(run_fresh):
-    # The first pi3 of a process may ask for fewer digits than the
-    # quadrature check carries; the check must not mistake that for a fault.
+    # The first pi3 of a process may ask for fewer digits than the check
+    # carries; the check must not mistake that for a fault.
     assert run_fresh("import dixonian.numerics as n; print(n.pi3(5).to_string(5))") == ["5.29991"]
+
+
+_PI3_SHIFTED = """
+import sys
+import dixonian.numerics as numerics
+ball = numerics._pi3_ball
+shift = {shift}
+numerics._pi3_ball = lambda bits: (lambda m, r: (m + (shift << bits) // 10**20, r))(*ball(bits))
+try:
+    print(numerics.pi3(30).to_string(5))
+except AssertionError:
+    print("raised")
+print("mpmath" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("shift, outcome", [(0, "5.29991"), (1, "raised"), (-1, "raised")])
+def test_pi3_check_catches_one_unit_in_the_20th_digit(run_fresh, shift, outcome):
+    # The zero of cm brackets pi3/3 to 1e-22 on each side, so an integer
+    # pi3 moved by 1e-20 either way fails the one-time check; the check
+    # itself loads no mpmath.
+    assert run_fresh(_PI3_SHIFTED.format(shift=shift)) == [outcome, "False"]
+
+
+def test_pi3_and_zeta0_load_no_mpmath(run_fresh):
+    code = (
+        "import sys, dixonian.numerics as n\n"
+        "print(n.pi3(600).to_string(3), n.zeta0(30).to_string(3), 'mpmath' in sys.modules)"
+    )
+    assert run_fresh(code) == ["5.299", "3.533", "False"]
+
+
+def test_integer_roots_and_machin_pi():
+    for n in (1, 2, 7, 8, 26, 27, 28, 10**30, 10**30 + 1, 3 * 2**600 + 5):
+        r = numerics._icbrt(n)
+        assert r**3 <= n < (r + 1) ** 3, n
+    for bits in (10, 64, 333, 2000):
+        mid, rad = numerics._machin_pi(bits)
+        with mp.workprec(bits + 64):
+            assert abs(mpf(mid) / 2**bits - mp.pi) <= mpf(rad) / 2**bits, bits
+
+
+@pytest.mark.parametrize("bits", [20, 80, 300, 2000])
+def test_exp_ball_holds_the_exponential(bits):
+    # The integer e^-t against mpmath's, at far higher precision.
+    for t in (Fraction(0), Fraction(1, 10**9), Fraction(1, 10), Fraction(1, 3), Fraction(1),
+              Fraction(5, 2), Fraction(40), Fraction(1000)):
+        mid, rad = numerics._exp_neg(t, bits)
+        assert 0 <= mid <= 1 << bits
+        with mp.workprec(bits + 80):
+            gap = abs(mpf(mid) / 2**bits - mp.exp(-mpf(t.numerator) / t.denominator))
+            assert gap <= mpf(rad) / 2**bits, (t, bits)
+        assert rad <= 4 or t == 0, (t, bits)

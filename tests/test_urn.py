@@ -337,6 +337,49 @@ def test_closed_form_initial_state():
     assert x0 == 0.0 and abs(y0 - 1.0) < 1e-15
 
 
+_YULE_GRID = (0, 0.1, 0.25, 0.5, 1, 1.5, 2)
+
+
+@pytest.mark.parametrize("digits", [20, 60])
+def test_yule_value_bound_holds_against_mpmath_exp(digits):
+    # e^-t from mpmath at far higher precision, smh and cmh at 40 more
+    # digits than asked: the reference lies within the ball's radius.
+    from mpmath import mp, mpf
+
+    from dixonian.numerics import eval_cmh, eval_smh
+
+    for t in map(Fraction, _YULE_GRID):
+        for expr, fn in (("yuleX", eval_smh), ("yuleY", eval_cmh)):
+            v = urn.yule_value(expr, t, digits)
+            assert v.decimal_places() >= digits
+            with mp.workdps(digits + 60):
+                decay = mp.exp(-mpf(t.numerator) / t.denominator)
+                inner = fn(1 - decay, digits + 40)
+                ref = decay * inner.value
+                slack = decay * inner.error_bound + mpf(10) ** -(digits + 50)
+                assert abs(v.value - ref) <= v.error_bound + slack, (expr, t, digits)
+
+
+# yule_closed_form as the mpf-based closed form gave it before e^-t went
+# into integers: the same at 15, 25 and 40 digits.
+_YULE_FLOATS = {
+    0: ("0x0.0p+0", "0x1.0000000000000p+0"),
+    0.1: ("0x1.60be5a4f74eafp-4", "0x1.cf68ec8045c43p-1"),
+    0.25: ("0x1.61726ab596ffbp-3", "0x1.902fe9519c88dp-1"),
+    0.5: ("0x1.edc732fdcda68p-3", "0x1.3cea05bb34059p-1"),
+    1: ("0x1.f14f4708e485dp-3", "0x1.99d31a68162edp-2"),
+    1.5: ("0x1.817474ae81cfap-3", "0x1.0b3efe7825c9bp-2"),
+    2: ("0x1.0d13e214fd9acp-3", "0x1.58301420f6fa1p-3"),
+}
+
+
+@pytest.mark.parametrize("dps", [15, 25, 40])
+def test_closed_form_floats_are_pinned(dps):
+    for t in _YULE_GRID:
+        want = tuple(float.fromhex(h) for h in _YULE_FLOATS[t])
+        assert yule_closed_form(t, dps) == want, (t, dps)
+
+
 def test_size_law_is_geometric():
     t = 0.7
     probs = [yule_size_law(k, t) for k in range(1, 401)]
