@@ -13,6 +13,7 @@ import argparse
 import io
 import math
 import os
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -223,7 +224,7 @@ def _verify_urn(n_max: int, inject_fault: bool) -> list[tuple]:
 
 def _verify_yule(_size: None, inject_fault: bool) -> list[tuple]:
     checkpoints = (0.25, 0.5, 1.0, 2.0)
-    grid = yule_rk4(25000, checkpoints)
+    grid = yule_rk4(2000, checkpoints)
     worst = 0.0
     for t in checkpoints:
         cx, cy = yule_closed_form(t)
@@ -419,15 +420,22 @@ def cmd_enumerate(args: argparse.Namespace) -> CommandOutput:
             raise UsageError("--class applies to perms only")
         start = args.start or "x"
         histories = enumerate_histories(args.n, start)
-        items = [w for w in sorted(histories) for _ in range(histories[w])]
-        payload_items: list = items
+        words = sorted(histories)
+        # text takes one block per distinct word and csv streams its rows:
+        # only json builds an item per history (9! of them at n = 9)
+        lines = [((w + "\n") * histories[w])[:-1] for w in words]
+        rows: Iterable[list[str]] = ([w] for w in words for _ in range(histories[w]))
+        payload_items: list = []
+        if resolve_format(args) == "json":
+            payload_items = [w for w in words for _ in range(histories[w])]
     else:
         if args.start is not None:
             raise UsageError("--start applies to histories only")
         if args.cls is None:
             raise UsageError("enumerate perms needs --class X or --class Y")
         members = parity_class_members(args.cls, args.n)
-        items = [" ".join(str(v) for v in perm) for perm in members]
+        lines = [" ".join(str(v) for v in perm) for perm in members]
+        rows = ([it] for it in lines)
         payload_items = [list(perm) for perm in members]
     payload = {
         "command": "enumerate",
@@ -437,7 +445,7 @@ def cmd_enumerate(args: argparse.Namespace) -> CommandOutput:
     }
     # lazy rows: a list of one-item lists per history costs more garbage
     # collection than the listing itself, and text and json never read it
-    return CommandOutput(0, items, ["item"], ([it] for it in items), payload)
+    return CommandOutput(0, lines, ["item"], rows, payload)
 
 
 # -- eval --------------------------------------------------------------------
@@ -573,9 +581,18 @@ _DISPATCH = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        # argparse takes a negative fraction such as -17/10 for an option,
+        # so eval claims a lone left-over negative number as its argument
+        # (one given before the subcommand stays an error)
+        if argv[0] == "eval" and args.argument is None and len(extra) == 1:
+            if re.match(r"-\.?\d", extra[0]):
+                args.argument = extra.pop()
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         code = exc.code
         if code in (0, None):

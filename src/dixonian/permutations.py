@@ -14,7 +14,7 @@ recurrence).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -102,22 +102,37 @@ def code_by_value(perm: Sequence[int], open_right: bool = False) -> tuple[str, .
 def _placements(
     n: int,
     keep: Callable[[int, str, int, list[str]], bool],
+    leaf: Callable[[tuple[int, ...]], object] | None = None,
     open_right: bool = False,
-) -> Iterator[tuple[int, ...]]:
-    """The permutations of 1..n whose every value passes ``keep``.
+    residues: tuple[int, int] | None = None,
+) -> int:
+    """Count the permutations of 1..n whose every value passes ``keep``,
+    handing each to ``leaf`` as a tuple when one is given.
 
     Values 1..n land in increasing order on the fixed positions 1..n, as
     in :func:`fv_encode`, so the positions filled when v lands at p hold
     exactly the smaller values.  Everything about v is then final: its
     local type follows from whether p - 1 and p + 1 are filled (the left
     border counts as filled, the right border as filled unless
-    ``open_right``), and its parent in the increasing tree is the larger
-    of the nearest filled values on either side, the nearest-smaller rule
-    of :func:`tree_levels`.  ``keep(v, code, level, codes)``, where
-    ``codes[u - 1]`` is the type of each u < v, therefore rejects a prefix
-    the moment it fails.  Every placement is explicit and checked: no
-    counts are multiplied and no states merged, so the route stays
-    independent of the weighted path sums.
+    ``open_right``), and each empty run of positions is a subtree still to
+    grow in the increasing tree.  The run v splits is v's subtree, and
+    its two sides are the subtrees of v's children, one level down (the
+    nearest-smaller rule of :func:`tree_levels`).  ``keep(v, code, level,
+    codes)``, where ``codes[u - 1]`` is the type of each u < v, therefore
+    rejects a prefix the moment it fails.  Every placement is explicit
+    and checked: no counts are multiplied and no states merged, so the
+    route stays independent of the weighted path sums.
+
+    ``residues`` prunes a parity class by subtree size.  Lemma: a subtree
+    rooted at a level where non-valleys are barred has size 0 (mod 3),
+    any other 1 (mod 3).  By induction: a barred root is a valley with two
+    children at free levels, 1 + 1 + 1 = 0; a free root has 0, 1 or 2
+    children, all at barred levels, 1 + 0 = 1.  So the whole run 1..n must
+    have the residue ``residues[0]`` of level 0, and v lands at q only if
+    each side is empty or has the residue ``residues[l % 2]`` of the level
+    l below.  As the run has its own residue, that holds exactly when
+    q - s has it, so q steps by 3.  The prune skips only prefixes that
+    cannot complete; ``keep`` still checks every placed value.
 
     Sizes are checked before the search starts: n must be nonnegative and
     at most the brute enumeration cap.
@@ -130,33 +145,23 @@ def _placements(
             f"enumerating n = {n} exceeds the enumeration cap {limit}; "
             f"set {BRUTE_CAP_ENV} to raise it"
         )
-    # word[p] is the value at position p = 1..n, 0 while empty; word[n + 1] stays 0
-    word = [0] * (n + 2)
-    level = [0] * (n + 1)
+    if residues and n and n % 3 != residues[0]:
+        return 0
+    # word[p] is the value at position p = 1..n; a leaf has written them all
+    word = [0] * (n + 1)
     codes: list[str] = []
 
-    def place(v: int) -> Iterator[tuple[int, ...]]:
+    def place(v: int, runs: list[tuple[int, int, int]]) -> int:
         if v > n:
-            yield tuple(word[1 : n + 1])
-            return
-        a = 0
-        p = 1
-        while p <= n:
-            if word[p]:
-                a = word[p]
-                p += 1
-                continue
-            # every position of the empty run s..e has a and b (0 past a
-            # border) as its nearest filled values, so they share a parent
-            s = p
-            while p <= n and not word[p]:
-                p += 1
-            e = p - 1
-            b = word[p]
-            parent = a if a > b else b
-            lv = level[parent] + 1 if parent else 0
+            if leaf is not None:
+                leaf(tuple(word[1:]))
+            return 1
+        total = 0
+        # runs holds each empty run s..e with the level of its root
+        for i, (s, e, lv) in enumerate(runs):
             closed = e < n or not open_right
-            for q in range(s, e + 1):
+            first, step = (s + residues[(lv + 1) % 2], 3) if residues else (s, 1)
+            for q in range(first, e + 1, step):
                 # only the run's ends touch a filled neighbour or a border
                 left = q == s
                 right = q == e and closed
@@ -166,13 +171,15 @@ def _placements(
                     code = DOUBLE_FALL if right else VALLEY
                 if keep(v, code, lv, codes):
                     word[q] = v
-                    level[v] = lv
                     codes.append(code)
-                    yield from place(v + 1)
+                    sides = [(s, q - 1, lv + 1)] if q > s else []
+                    if q < e:
+                        sides.append((q + 1, e, lv + 1))
+                    total += place(v + 1, runs[:i] + sides + runs[i + 1 :])
                     codes.pop()
-                    word[q] = 0
+        return total
 
-    return place(1)
+    return place(1, [(1, n, 0)] if n else [])
 
 
 # -- increasing binary trees ---------------------------------------------
@@ -272,21 +279,26 @@ def _parity_keep(parity: int) -> Callable[[int, str, int, list[str]], bool]:
     return keep
 
 
-def parity_class_counts(n: int) -> tuple[int, int]:
-    """(|X_n|, |Y_n|) by counting the pruned placements of each class.
+# Size mod 3 of a subtree of a class X (row 0) or Y (row 1) tree rooted at
+# an even or an odd level: 0 where non-valleys are barred, 1 elsewhere.
+_SUBTREE_RESIDUES = ((1, 0), (0, 1))
 
-    A value's local type and level are final once it is placed, so the
-    first non-doubled node at a forbidden level condemns every completion
-    of its prefix at once, and the cost follows the classes rather than
-    n!.  Every member is still placed and checked on its own, which keeps
-    the count independent of :func:`parity_class_counts_dp`.  The brute
-    enumeration cap applies.
+
+def parity_class_counts(n: int) -> tuple[int, int]:
+    """(|X_n|, |Y_n|) by counting the placements of each class.
+
+    A value is placed only where both sides of it can still complete, by
+    the subtree lemma of :func:`_placements`, so every placed prefix
+    leads to a member and the cost is O(n^2 |class|): an empty class
+    places nothing.  Every member is still placed and checked on its own,
+    which keeps the count independent of :func:`parity_class_counts_dp`.
+    The brute enumeration cap applies.
     """
     if n < 1:
         raise ValueError("the parity classes need at least one value")
 
     def count(parity: int) -> int:
-        return sum(1 for _ in _placements(n, _parity_keep(parity)))
+        return _placements(n, _parity_keep(parity), residues=_SUBTREE_RESIDUES[parity])
 
     return count(0), count(1)
 
@@ -314,14 +326,14 @@ def parity_class_members(which: str, n: int) -> list[tuple[int, ...]]:
     """All members of class X or Y in lexicographic order.  The brute
     enumeration cap applies.
 
-    Placement prunes a prefix as soon as one value is a non-valley at a
-    forbidden level, so the cost follows the class rather than n!; the
-    same placements, counted without being listed, are
-    :func:`parity_class_counts`."""
+    These are the placements of :func:`parity_class_counts`, listed
+    instead of counted, so the cost is O(n^2 |class|) plus the sort."""
     parity = {"X": 0, "Y": 1}.get(which.upper())
     if parity is None:
         raise ValueError("the class is X or Y")
-    return sorted(_placements(n, _parity_keep(parity)))
+    members: list[tuple[int, ...]] = []
+    _placements(n, _parity_keep(parity), members.append, residues=_SUBTREE_RESIDUES[parity])
+    return sorted(members)
 
 
 # -- unlabeled Y shapes ---------------------------------------------------
@@ -559,7 +571,7 @@ def repeated_count_brute(n: int, r: int, open_right: bool = False) -> int:
     """Number of r-repeated permutations of n, by placing values and
     pruning each prefix whose newest value breaks its block.  The brute
     enumeration cap applies."""
-    return sum(1 for _ in _placements(n, _block_keep(r), open_right))
+    return _placements(n, _block_keep(r), open_right=open_right)
 
 
 def repeated_jfraction_tables(
@@ -626,7 +638,9 @@ def polarized_total(n: int) -> int:
     are placed as in :func:`repeated_count_brute` and under the same cap.
     This reproduces the smh coefficients at n = 1, 4, 7, ...
     """
-    return sum(1 << markable_windows(perm) for perm in _placements(n, _block_keep(3)))
+    perms: list[tuple[int, ...]] = []
+    _placements(n, _block_keep(3), perms.append)
+    return sum(1 << markable_windows(perm) for perm in perms)
 
 
 def polarized_c(ell: int) -> int:

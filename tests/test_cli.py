@@ -1,11 +1,13 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mp, mpf
 
+from dixonian import permutations
 from dixonian.cli import VERIFY_TARGETS, main
 from dixonian.urn import enumerate_histories, yule_closed_form
 
@@ -135,6 +137,16 @@ def test_injected_fault_turns_target_red(capsys, argv):
     code, out, _ = run(capsys, *argv, "--inject-fault")
     assert code == 1
     assert out.splitlines()[-1].startswith("FAIL")
+
+
+def test_verify_parity_fails_under_a_shifted_subtree_residue(capsys, monkeypatch):
+    # the placements' size prune is load-bearing: demand the wrong residue
+    # mod 3 and they lose members, so the three routes disagree
+    shifted = tuple(tuple((r + 1) % 3 for r in row) for row in permutations._SUBTREE_RESIDUES)
+    monkeypatch.setattr(permutations, "_SUBTREE_RESIDUES", shifted)
+    code, out, _ = run(capsys, "verify", "parity", "--n", "6")
+    assert code == 1
+    assert out.splitlines()[-1].startswith("FAIL: n=1: placements")
 
 
 @pytest.mark.parametrize(
@@ -268,6 +280,15 @@ def test_enumerate_negative_size_is_usage_error(capsys):
     assert run(capsys, "enumerate", "histories", "--n", "0")[:2] == (0, "x\n")
 
 
+def test_enumerate_histories_text_lists_every_history(capsys):
+    # repeated words print once per history, as in csv and json
+    words = sorted(enumerate_histories(4, "y").elements())
+    assert len(words) == math.factorial(4) > len(set(words))
+    code, out, _ = run(capsys, "enumerate", "histories", "--n", "4", "--start", "y")
+    assert code == 0
+    assert out == "".join(w + "\n" for w in words)
+
+
 def test_enumerate_histories_csv_and_json(capsys):
     words = sorted(enumerate_histories(3).elements())
     code, out, _ = run(capsys, "enumerate", "histories", "--n", "3", "--format", "csv")
@@ -339,6 +360,30 @@ def test_eval_domain_violations_exit_one(capsys):
     code, _, err = run(capsys, "eval", "yuleX", "--", "-0.5")
     assert code == 1
     assert "forward" in err
+
+
+@pytest.mark.parametrize("raw", ["-17/10", "-1/2", "-1.7"])
+def test_eval_reads_negative_arguments(capsys, raw):
+    # argparse takes -17/10 for an option; eval reads it as its argument
+    code, out, err = run(capsys, "eval", "cmh", raw)
+    assert (code, err) == (0, "")
+    assert run(capsys, "eval", "cmh", "--", raw)[1] == out
+    out = run(capsys, "eval", "cmh", raw, "--digits", "20")[1]
+    assert out.endswith("\nerror < 2e-20\n")
+    assert run(capsys, "eval", "cmh", "--digits", "20", raw)[1] == out
+    code, out, _ = run(capsys, "eval", "smh", raw, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["argument"] == str(Fraction(raw))
+
+
+def test_eval_still_refuses_unknown_options(capsys):
+    for argv in (("cmh", "--bogus"), ("cmh", "1", "-17/10"), ("cmh", "-x")):
+        code, out, err = run(capsys, "eval", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "unrecognized arguments" in err
+    assert run(capsys, "series", "sm", "-17/10")[0] == 2
+    assert run(capsys, "-17/10", "eval", "cmh")[0] == 2
 
 
 def test_eval_argument_arity_is_checked(capsys):

@@ -276,8 +276,10 @@ def test_class_counts_refuse_past_the_cap_before_placing(monkeypatch):
     with pytest.raises(ValueError):
         parity_class_counts(0)
     assert placed == []
-    # the spy is live: keeping everything counts all of S_2 for both classes
-    assert parity_class_counts(2) == (2, 2)
+    # the spy is live.  The subtree prune alone already bars every
+    # placement that keep would reject, so keeping everything still gives
+    # the class sizes; at n = 2 it bars both classes before keep is asked.
+    assert parity_class_counts(4) == (4, 0)
     assert placed
 
 
@@ -294,6 +296,32 @@ def test_placements_match_definition(n):
             assert repeated_count_brute(n, r, open_right) == expected
     weighted = sum(1 << markable_windows(p) for p in every if is_r_repeated(p, 3))
     assert polarized_total(n) == weighted
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_empty_classes_never_consult_keep(n, monkeypatch):
+    """By the subtree lemma X lives only at n = 1 (mod 3) and Y at n = 0
+    (mod 3); the other class is refused before its first placement."""
+    monkeypatch.setenv("DIXONIAN_BRUTE_CAP", "11")
+    calls = [0, 0]
+    real = permutations._parity_keep
+
+    def spy(parity):
+        keep = real(parity)
+
+        def counted(*args):
+            calls[parity] += 1
+            return keep(*args)
+
+        return counted
+
+    monkeypatch.setattr(permutations, "_parity_keep", spy)
+    counts = parity_class_counts(n)
+    assert counts == parity_class_counts_dp(n)
+    for parity in (0, 1):
+        assert (calls[parity] == 0) == (counts[parity] == 0)
+    assert calls[0] == 0 or n % 3 == 1
+    assert calls[1] == 0 or n % 3 == 0
 
 
 @pytest.mark.parametrize("n", [10, 11])
