@@ -28,8 +28,7 @@ from dixonian.contfrac import (
     valent_ops,
     verify_conrad,
 )
-from dixonian.core import PowerSeries, series_compose, series_derive
-from dixonian.functions import dixon_egf_integers, dixon_egf_table, dixon_series
+from dixonian.functions import _convolve, dixon_egf_integers, dixon_egf_table
 from dixonian.numerics import _decimal, eval_cmh, eval_smh, pi3
 from dixonian.permutations import (
     andre_polynomials,
@@ -240,20 +239,11 @@ def _poly_str(coeffs: Sequence[Fraction | int]) -> str:
     parts = []
     for m in range(len(coeffs) - 1, -1, -1):
         c = coeffs[m]
-        if c == 0:
-            continue
-        mono = "" if m == 0 else ("z" if m == 1 else f"z^{m}")
-        mag = abs(c)
-        if m and mag == 1:
-            body = mono
-        elif m:
-            body = f"{mag}{mono}"
-        else:
-            body = str(mag)
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        if c:
+            mono = "" if m == 0 else ("z" if m == 1 else f"z^{m}")
+            body = mono if m and abs(c) == 1 else f"{abs(c)}{mono}"
+            sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+            parts.append(sign + body)
     return " ".join(parts) if parts else "0"
 
 
@@ -290,20 +280,24 @@ def _verify_andre(k_max: int, inject_fault: bool) -> list[tuple]:
     polys = andre_polynomials(k_max)
     if inject_fault:
         polys[-1][1] = polys[-1].get(1, 0) + 1
+    # On EGF rows the 3k-th derivative of smh is its row shifted by 3k, and
+    # one ladder by smh^3 gives smh^m on m = 1 mod 3, the derivative's class.
     order = 3 * k_max + 9
-    smh = dixon_series(order).smh
-    sm_ints, _ = dixon_egf_integers(3 * k_max + 1)
+    smh = dixon_egf_table("smh", order)
+    cube = _convolve(_convolve(smh, 1, smh, 1, order), 2, smh, 1, order)
+    powers = {1: smh}
+    for m in range(4, order + 1, 3):
+        powers[m] = _convolve(powers[m - 3], 1, cube, 0, order)
     checks = []
-    d = smh
     for k in range(k_max + 1):
         target = order - 3 * k
-        outer = PowerSeries(
-            [Fraction(polys[k].get(m, 0)) for m in range(target + 1)], target
-        )
-        inner = PowerSeries(smh.coeffs[: target + 1], target)
-        compose_ok = series_compose(outer, inner).coeffs == d.coeffs
-        start = polys[k].get(1, 0)
-        golden = abs(sm_ints[3 * k + 1])
+        # smh^m starts at z^m: terms past the target drop out, and a term
+        # off that class would show at n = m, a mismatch.
+        terms = {m: c for m, c in polys[k].items() if c and m <= target}
+        compose_ok = terms.keys() <= powers.keys() and [
+            sum(c * powers[m][n] for m, c in terms.items()) for n in range(target + 1)
+        ] == smh[3 * k :]
+        start, golden = polys[k].get(1, 0), smh[3 * k + 1]
         ok = compose_ok and start == golden
         detail = f"P_{k}'(0) = {start}"
         if not ok:
@@ -312,9 +306,6 @@ def _verify_andre(k_max: int, inject_fault: bool) -> list[tuple]:
                 f"start {start}, series {golden}"
             )
         checks.append((f"k={k}", ok, detail))
-        if k < k_max:
-            for _ in range(3):
-                d = series_derive(d)
     return checks
 
 
@@ -586,11 +577,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args, extra = parser.parse_known_args(argv)
         # argparse takes a negative fraction such as -17/10 for an option,
-        # so eval claims a lone left-over negative number as its argument
-        # (one given before the subcommand stays an error)
-        if argv[0] == "eval" and args.argument is None and len(extra) == 1:
-            if re.match(r"-\.?\d", extra[0]):
-                args.argument = extra.pop()
+        # and leaves a value after an option, or after a `--` there, over:
+        # eval claims one left-over value, or negative number, as its
+        # argument (one given before the subcommand stays an error)
+        if argv[0] == "eval" and args.argument is None:
+            ended = extra[:1] == ["--"]
+            value = extra[1:] if ended else extra
+            if len(value) == 1 and (ended or re.match(r"[^-]|-\.?\d", value[0])):
+                args.argument, extra = value[0], []
         if extra:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:

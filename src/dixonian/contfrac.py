@@ -36,7 +36,7 @@ from dixonian.core import (
     series_integrate,
     series_mul,
 )
-from dixonian.functions import dixon_egf_product
+from dixonian.functions import _convolve, dixon_egf_product
 
 __all__ = [
     "JFraction",
@@ -554,37 +554,29 @@ def valent_ops(max_n: int, route: str = "recurrence") -> list[_Poly]:
     reversed (the Wallis recurrence read in z = 1/w).  ``gf``: coefficient
     of z^m in Q(n) read off as (3n)!/(3m)! [t^(3n)] ((1-t^3)^(-1/3)
     theta(t)^(3m)), where theta is the incomplete integral of
-    (1-w^3)^(-2/3).
+    (1-w^3)^(-2/3).  Both factors have integer EGF rows, prod_{i<=j}
+    (3i-2)^2 (3i-1) at t^(3j) and (3i-2)(3i-1)^2 at t^(3j+1), convolved in
+    integers; theta^k / k! has integer EGF rows, so (3m)! divides exactly.
     """
     if route == "recurrence":
         ref = conrad_j_reference("cm", max_n)
         dens = [[1], *_wallis(_j_steps(ref.cs, ref.as_, max_n), [0])]
         return [(den + [0] * (n + 1 - len(den)))[::-1] for n, den in enumerate(dens)]
     if route == "gf":
-        if max_n == 0:
-            return [[Fraction(1)]]
         order = 3 * max_n
-        base = series_binomial_pow(
-            PowerSeries([1, 0, 0, -1], order), Fraction(-1, 3)
-        )  # (1-t^3)^(-1/3)
-        theta = series_integrate(
-            series_binomial_pow(PowerSeries([1, 0, 0, -1], order - 1), Fraction(-2, 3))
-        )
-        theta3 = theta**3
-        polys = []
-        cur = base  # base * theta^(3m), starting at m = 0
-        cols: list[list[Fraction]] = []
-        for m in range(max_n + 1):
-            cols.append([cur.coefficient(3 * n) for n in range(max_n + 1)])
-            if m < max_n:
-                cur = series_mul(cur, theta3)
-        for n in range(max_n + 1):
-            poly = [
-                Fraction(math.factorial(3 * n), math.factorial(3 * m)) * cols[m][n]
-                for m in range(n + 1)
-            ]
-            polys.append(poly)
-        return polys
+        base, theta = [0] * (order + 2), [0] * (order + 2)
+        b = t = 1
+        for j in range(max_n + 1):
+            base[3 * j], theta[3 * j + 1] = b, t
+            b, t = b * (3 * j + 1) ** 2 * (3 * j + 2), t * (3 * j + 1) * (3 * j + 2) ** 2
+        theta3 = _convolve(_convolve(theta, 1, theta, 1, order), 2, theta, 1, order)
+        cols = [base]  # base * theta^(3m), one column per m
+        for m in range(max_n):
+            cols.append(_convolve(cols[-1], 0, theta3, 0, order))
+        return [
+            [cols[m][3 * n] // math.factorial(3 * m) for m in range(n + 1)]
+            for n in range(max_n + 1)
+        ]
     raise ValueError(f"unknown route {route!r}")
 
 

@@ -116,13 +116,19 @@ def dixon_egf_product(p: int, q: int, n_max: int) -> list[int]:
     factors = [(sm, 1)] * p + [(cm, 0)] * q
     out, r = factors.pop(0) if factors else ((1,) + (0,) * n_max, 0)
     for f, s in factors:
-        # out lives on n = r mod 3 and f on n = s mod 3.
-        out = [
-            _binomial_sum(n, r, n + 1, out, f) if (n - r - s) % 3 == 0 else 0
-            for n in range(n_max + 1)
-        ]
+        out = _convolve(out, r, f, s, n_max)
         r = (r + s) % 3
     return list(out)
+
+
+def _convolve(f: Sequence[int], r: int, g: Sequence[int], s: int, n_max: int) -> list[int]:
+    """n! [z^n] of the product of two EGFs for n = 0..n_max, from their
+    integer tables f, nonzero only on n = r mod 3, and g, only on n = s
+    mod 3 (with 0 <= r < 3); the product lives on n = r + s mod 3."""
+    return [
+        _binomial_sum(n, r, n + 1, f, g) if (n - r - s) % 3 == 0 else 0
+        for n in range(n_max + 1)
+    ]
 
 
 # name -> (p, q, hyperbolic).  The hyperbolic companions smh = -sm(-z) and

@@ -466,7 +466,7 @@ def _div(a: Ball, b: Ball, bits: int) -> Ball:
     """
     (am, ar), (bm, br) = a, b
     if bm - br <= 0:
-        raise ValueError("argument too close to the pole at -pi3/3")
+        raise ValueError("the denominator ball reaches zero")
     mid, rem = divmod(am << bits, bm)
     rad = -(-((abs(am) * br + bm * ar) << bits) // (bm * (bm - br)))
     return mid, rad + (rem != 0)
@@ -523,9 +523,9 @@ def _halve_and_double(z: Fraction, k: int, prec: int) -> tuple[Ball, Ball, int]:
     return s, c, bits
 
 
-def _sm_cm(z: object, digits: int) -> tuple[Ball, Ball, int]:
-    """Balls around sm(z) and cm(z) at scale 2^-bits, and bits, with
-    radii aimed at 10^-(digits + 3).
+def _sm_cm(z: object, digits: int, flip: bool = False) -> tuple[Ball, Ball, int]:
+    """Balls around sm(z) and cm(z), or with flip around sm(-z) and cm(-z),
+    at scale 2^-bits, and bits, with radii aimed at 10^-(digits + 3).
 
     The argument is halved k times, with k about half the square root of
     the precision in bits, which balances the series' length against the
@@ -534,23 +534,27 @@ def _sm_cm(z: object, digits: int) -> tuple[Ball, Ball, int]:
     adds the bits the first one fell short by.  sm and cm are analytic
     across their zero pi3/3, so that end of the domain admits an argument
     rounded from pi3/3 at the caller's precision; the pole end does not.
+    A domain error names the end in the caller's frame, z or -z.
     """
-    z = _exact(z)
+    z, zero, pole = (-_exact(z), "-pi3/3", "pi3/3") if flip else (_exact(z), "pi3/3", "-pi3/3")
     if z > _THIRD_PERIOD + Fraction(1, 10 ** (digits + 3)):
-        raise ValueError("argument exceeds the first zero pi3/3")
+        raise ValueError(f"argument lies past the first zero {zero}")
     if z < -_THIRD_PERIOD:
-        raise ValueError("argument lies past the pole at -pi3/3")
+        raise ValueError(f"argument lies past the pole at {pole}")
     target = math.ceil((digits + 3) * math.log2(10))
     m = max(4, math.isqrt(target) // 2)
     k = max(0, m + abs(z.numerator).bit_length() - z.denominator.bit_length() + 1)
     prec = target + 3 * k + 20
-    for _ in range(2):
-        s, c, bits = _halve_and_double(z, k, prec)
-        widest = max(s[1], c[1])
-        if widest <= 1 << (bits - target):
-            break
-        # The widest radius is below 2^(widest.bit_length() - bits).
-        prec += widest.bit_length() - bits + target + 12
+    try:
+        for _ in range(2):
+            s, c, bits = _halve_and_double(z, k, prec)
+            widest = max(s[1], c[1])
+            if widest <= 1 << (bits - target):
+                break
+            # The widest radius is below 2^(widest.bit_length() - bits).
+            prec += widest.bit_length() - bits + target + 12
+    except ValueError:  # only _div raises: a doubling's denominator reached zero
+        raise ValueError(f"argument too close to the pole at {pole}") from None
     return s, c, bits
 
 
@@ -568,13 +572,13 @@ def eval_cm(z: object, digits: int = 30) -> NumericValue:
 
 def eval_smh(z: object, digits: int = 30) -> NumericValue:
     """smh(z) = -sm(-z) for real z in [-pi3/3, pi3/3); pole at pi3/3."""
-    (mid, rad), _, bits = _sm_cm(-_exact(z), digits)
+    (mid, rad), _, bits = _sm_cm(z, digits, flip=True)
     return NumericValue(-mid, rad, bits)
 
 
 def eval_cmh(z: object, digits: int = 30) -> NumericValue:
     """cmh(z) = cm(-z) for real z in [-pi3/3, pi3/3)."""
-    _, c, bits = _sm_cm(-_exact(z), digits)
+    _, c, bits = _sm_cm(z, digits, flip=True)
     return NumericValue(*c, bits)
 
 

@@ -7,7 +7,8 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from dixonian import permutations
+from dixonian import numerics, permutations
+from dixonian.core import PowerSeries
 from dixonian.cli import VERIFY_TARGETS, main
 from dixonian.urn import enumerate_histories, yule_closed_form
 
@@ -128,6 +129,17 @@ def test_verify_targets_pass(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.splitlines()[-1] == "PASS"
+
+
+def test_andre_and_valent_checks_build_no_power_series(capsys, monkeypatch):
+    # Both checks run on the integer EGF rows, never on Fraction series.
+    def refuse(*_):
+        raise AssertionError("a PowerSeries was built")
+
+    monkeypatch.setattr(PowerSeries, "__init__", refuse)
+    for argv in (("andre", "--max-n", "11"), ("valent", "--max-n", "10")):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert (code, out.splitlines()[-1]) == (0, "PASS")
 
 
 @pytest.mark.parametrize("argv", FAULT_CASES)
@@ -362,18 +374,34 @@ def test_eval_domain_violations_exit_one(capsys):
     assert "forward" in err
 
 
-@pytest.mark.parametrize("raw", ["-17/10", "-1/2", "-1.7"])
+@pytest.mark.parametrize("raw", ["-17/10", "-1/2", "-1.7", "1/2"])
 def test_eval_reads_negative_arguments(capsys, raw):
-    # argparse takes -17/10 for an option; eval reads it as its argument
+    # argparse takes -17/10 for an option, and before Python 3.13 leaves
+    # any value after an option over; eval reads it as its argument
     code, out, err = run(capsys, "eval", "cmh", raw)
     assert (code, err) == (0, "")
     assert run(capsys, "eval", "cmh", "--", raw)[1] == out
     out = run(capsys, "eval", "cmh", raw, "--digits", "20")[1]
     assert out.endswith("\nerror < 2e-20\n")
     assert run(capsys, "eval", "cmh", "--digits", "20", raw)[1] == out
+    assert run(capsys, "eval", "cmh", "--digits", "20", "--", raw)[1] == out
     code, out, _ = run(capsys, "eval", "smh", raw, "--format", "json")
     assert code == 0
     assert json.loads(out)["argument"] == str(Fraction(raw))
+
+
+@pytest.mark.parametrize("argv, end", [
+    (("smh", "2"), "lies past the pole at pi3/3"),
+    (("cmh", "2"), "lies past the pole at pi3/3"),
+    (("smh", "-2"), "lies past the first zero -pi3/3"),
+    (("cmh", "-2"), "lies past the first zero -pi3/3"),
+    # 10^-45 below the pole, which 20 digits cannot resolve
+    (("cmh", str(numerics._THIRD_PERIOD - Fraction(1, 10**45)), "--digits", "20"),
+     "too close to the pole at pi3/3"),
+])
+def test_eval_domain_errors_name_the_called_functions_end(capsys, argv, end):
+    # smh and cmh live on [-pi3/3, pi3/3), mirrored from sm and cm
+    assert run(capsys, "eval", *argv) == (1, "", f"error: argument {end}\n")
 
 
 def test_eval_still_refuses_unknown_options(capsys):

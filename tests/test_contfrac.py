@@ -473,7 +473,7 @@ def test_references_valent_and_widths_are_ints():
         values += [*ref.cs, *ref.as_]
     for family in S_FAMILIES:
         values += conrad_s_reference(family, 9).ds
-    for poly in valent_ops(6, route="recurrence"):
+    for poly in valent_ops(6, route="recurrence") + valent_ops(6, route="gf"):
         values += poly
     for h in range(1, 8):
         width = snake_width_gf(h)
@@ -560,9 +560,8 @@ def test_valent_recurrence_matches_printed_table():
 
 
 def test_valent_gf_route_agrees():
-    rec = valent_ops(6, route="recurrence")
-    gf = valent_ops(6, route="gf")
-    assert rec == gf
+    for max_n in (0, 1, 6, 20):
+        assert valent_ops(max_n, route="gf") == valent_ops(max_n, route="recurrence")
 
 
 # -- transfer ladder S/C/D ------------------------------------------------

@@ -442,7 +442,7 @@ def test_exact_balls_round_only_in_the_floor(x, y, bits):
 @given(balls, st.integers(-(2**40), 0), st.integers(0, 2**40), st.integers(0, 64))
 def test_quotient_by_a_ball_reaching_zero_raises(a, low, rad, bits):
     # A denominator ball whose lower end low is at or below zero.
-    with pytest.raises(ValueError, match="too close to the pole at -pi3/3"):
+    with pytest.raises(ValueError, match="the denominator ball reaches zero"):
         numerics._div(a, (low + rad, rad), bits)
 
 
