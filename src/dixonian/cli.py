@@ -194,7 +194,7 @@ def _verify_repeated(n_max: int, inject_fault: bool) -> list[tuple]:
             if ok:
                 detail = "counts " + ", ".join(str(b) for b in counts)
             else:
-                detail = f"brute {counts} vs fraction {closed}"
+                detail = f"brute {counts} vs fraction [{', '.join(map(str, closed))}]"
             checks.append((f"r={r} {border}", ok, detail))
     return checks
 
@@ -270,8 +270,11 @@ def _verify_width(h_max: int, inject_fault: bool) -> list[tuple]:
         den = list(gf.den)
         if inject_fault:
             den[0] += 1
-        ok = tuple(den) == tuple(meixner_denominator(h))
-        detail = f"W{h} = ({_poly_str(gf.num)}) / ({_poly_str(gf.den)})"
+        meixner = meixner_denominator(h)
+        ok = tuple(den) == meixner
+        detail = f"W{h} = ({_poly_str(gf.num)}) / ({_poly_str(den)})"
+        if not ok:
+            detail += f" (meixner: {_poly_str(meixner)})"
         checks.append((f"h={h}", ok, detail))
     return checks
 

@@ -29,13 +29,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from dixonian.core import (
-    DEFAULT_ORDER,
-    PowerSeries,
-    series_binomial_pow,
-    series_integrate,
-    series_mul,
-)
+from dixonian.core import DEFAULT_ORDER, PowerSeries
 from dixonian.functions import _convolve, dixon_egf_product
 
 __all__ = [
@@ -498,49 +492,34 @@ def snake_width_gf(h: int) -> RationalFunction:
     return conv.substitute_square()
 
 
-def meixner_denominator(h: int) -> tuple[Fraction, ...]:
-    """Reversed, constant-normalized [t^h] of (1+t^2)^(-1/2) exp(z arctan t).
+def meixner_denominator(h: int) -> tuple[int, ...]:
+    """Reversed h! [t^h] of (1+t^2)^(-1/2) exp(z arctan t), a polynomial in z.
 
+    Both factors have integer EGF rows: (-1)^k ((2k-1)!!)^2 at t^(2k) and
+    (-1)^k (2k)! at t^(2k+1).  The coefficient of z^j is entry h of the row
+    of (1+t^2)^(-1/2) arctan^j / j!; step j of the ladder convolves the
+    row of step j - 1 by the arctan row and divides exactly by j, since
+    arctan^j / j! has integer EGF rows.  The z^h coefficient is 1, so the
+    result starts at 1.
     Matches the denominator of snake_width_gf(h) for every h.
     """
-    # Series in t whose coefficients are polynomials in z, kept as lists.
-    order = h
-    inv_sqrt = series_binomial_pow(
-        PowerSeries([1, 0, 1], order), Fraction(-1, 2)
-    )  # (1+t^2)^(-1/2)
-    atan = series_integrate(
-        PowerSeries.one(order - 1) / PowerSeries([1, 0, 1], order - 1)
-    )  # arctan t
-    # exp(z * atan) = sum_j z^j atan^j / j!; collect polynomials in z per t-power.
-    polys: list[list[Fraction]] = [[Fraction(0)] for _ in range(order + 1)]
-    power = PowerSeries.one(order)
-    for j in range(order + 1):
-        fact = math.factorial(j)
-        for tpow in range(order + 1):
-            c = power.coefficient(tpow) / fact
-            if c:
-                while len(polys[tpow]) <= j:
-                    polys[tpow].append(Fraction(0))
-                polys[tpow][j] += c
-        power = series_mul(power, atan.truncate(order))
-    # Multiply by (1+t^2)^(-1/2) in the t-direction.
-    q_h = [Fraction(0)] * (h + 1)
-    for tpow in range(h + 1):
-        w = inv_sqrt.coefficient(h - tpow)
-        if not w:
-            continue
-        for j, c in enumerate(polys[tpow]):
-            if c:
-                q_h[j] += w * c
-    # q_h is Q_h(z); reverse and normalize the constant to 1.
-    rev = list(reversed(q_h))
-    lead = rev[0]
-    if lead == 0:
-        raise AssertionError("leading coefficient vanished")
-    rev = [c / lead for c in rev]
-    while len(rev) > 1 and rev[-1] == 0:
-        rev.pop()
-    return tuple(rev)
+    if h < 1:
+        raise ValueError("h >= 1")
+    row, atan = [0] * (h + 1), [0] * (h + 1)
+    row[0] = atan[1] = 1
+    for n in range(2, h + 1):  # odd entries of row, even ones of atan, stay 0
+        row[n] = -row[n - 2] * (n - 1) ** 2
+        atan[n] = -atan[n - 2] * (n - 1) * (n - 2)
+    q = [row[h]]  # q[j] is the coefficient of z^j
+    for j in range(1, h + 1):
+        row = [
+            sum(math.comb(n, k) * row[k] * atan[n - k] for k in range(n)) // j
+            for n in range(h + 1)
+        ]
+        q.append(row[h])
+    while q[0] == 0:  # Q_h is odd for odd h; q[h] == 1 ends the loop
+        del q[0]
+    return tuple(reversed(q))
 
 
 # -- orthogonal polynomial sequence ------------------------------------

@@ -131,13 +131,17 @@ def test_verify_targets_pass(capsys, argv):
     assert out.splitlines()[-1] == "PASS"
 
 
-def test_andre_and_valent_checks_build_no_power_series(capsys, monkeypatch):
-    # Both checks run on the integer EGF rows, never on Fraction series.
+def test_andre_valent_and_width_checks_build_no_power_series(capsys, monkeypatch):
+    # The three checks run on the integer EGF rows, never on Fraction series.
     def refuse(*_):
         raise AssertionError("a PowerSeries was built")
 
     monkeypatch.setattr(PowerSeries, "__init__", refuse)
-    for argv in (("andre", "--max-n", "11"), ("valent", "--max-n", "10")):
+    for argv in (
+        ("andre", "--max-n", "11"),
+        ("valent", "--max-n", "10"),
+        ("width", "--max-n", "12"),
+    ):
         code, out, _ = run(capsys, "verify", *argv)
         assert (code, out.splitlines()[-1]) == (0, "PASS")
 
@@ -149,6 +153,18 @@ def test_injected_fault_turns_target_red(capsys, argv):
     code, out, _ = run(capsys, *argv, "--inject-fault")
     assert code == 1
     assert out.splitlines()[-1].startswith("FAIL")
+    # exact values are shown as numbers, never as Fraction reprs
+    assert "Fraction(" not in out
+
+
+def test_failing_width_row_shows_both_denominators(capsys):
+    code, out, _ = run(capsys, "verify", "width", "--max-n", "2", "--inject-fault")
+    assert code == 1
+    assert out.splitlines() == [
+        "h=1: W1 = (1) / (2) (meixner: 1)",
+        "h=2: W2 = (1) / (-z^2 + 2) (meixner: -z^2 + 1)",
+        "FAIL: h=1: W1 = (1) / (2) (meixner: 1)",
+    ]
 
 
 def test_verify_parity_fails_under_a_shifted_subtree_residue(capsys, monkeypatch):

@@ -477,7 +477,7 @@ def test_references_valent_and_widths_are_ints():
         values += poly
     for h in range(1, 8):
         width = snake_width_gf(h)
-        values += [*width.num, *width.den]
+        values += [*width.num, *width.den, *meixner_denominator(h)]
     assert all(type(v) is int for v in values)
 
 
@@ -534,12 +534,19 @@ def test_snake_width_series_prefix():
 
 
 def test_meixner_denominators_match_snake_widths():
-    for h in range(1, 7):
+    for h in range(1, 25):
         w = snake_width_gf(h)
         den = list(w.den)
         while len(den) > 1 and den[-1] == 0:
             den.pop()
         assert tuple(den) == meixner_denominator(h), f"h = {h}"
+
+
+@pytest.mark.parametrize("h", [0, -1])
+def test_width_routes_refuse_h_below_one(h):
+    for route in (snake_width_gf, meixner_denominator):
+        with pytest.raises(ValueError, match="^h >= 1$"):
+            route(h)
 
 
 # -- orthogonal polynomial sequence ---------------------------------------

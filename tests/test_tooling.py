@@ -6,6 +6,8 @@ benchmark run."""
 import importlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import dixonian
+from dixonian.cli import main
 from dixonian.core import PowerSeries
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -136,3 +139,31 @@ def test_traced_fraction_commands_write_spans(tmp_path, argv, lines, entry):
     points = _tracer_namespace()["ENTRY_POINTS"]
     module = next(m for m, names in points.items() if entry in names)
     assert spans >= {("cli", "main"), (module, entry)}
+
+
+README = TRACER.parents[1] / "README.md"
+
+
+def _readme_transcripts() -> list[tuple[str, str]]:
+    """Each `$ dixonian ...` command of the README's text blocks with the
+    output printed under it, up to the next blank line or command."""
+    transcripts = []
+    for block in re.findall(r"```text\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        for chunk in re.split(r"\n(?=\$ )|\n\n", block):
+            command, _, output = chunk.partition("\n")
+            if command.startswith("$ dixonian "):
+                transcripts.append((command[2:], output.rstrip("\n") + "\n"))
+    return transcripts
+
+
+def test_readme_examples_run(capsys, monkeypatch):
+    for name in ("DIXONIAN_ORDER", "DIXONIAN_FORMAT", "DIXONIAN_BRUTE_CAP"):
+        monkeypatch.delenv(name, raising=False)
+    transcripts = _readme_transcripts()
+    assert len(transcripts) == 4
+    for command, output in transcripts:
+        assert main(shlex.split(command)[1:]) == 0, command
+        assert capsys.readouterr().out == output, command
+    text = README.read_text(encoding="utf-8")
+    quick_start = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    exec(quick_start.split("```", 1)[0], {})
