@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from dixonian.core import DEFAULT_ORDER, PowerSeries
-from dixonian.functions import _convolve, dixon_egf_product
+from dixonian.functions import _convolve, dixon_egf_product, dixon_egf_table
 
 __all__ = [
     "JFraction",
@@ -129,11 +129,10 @@ def _s_smcm(k: int) -> int:
 
 S_FAMILIES: dict[str, Callable[[int], int]] = {"sm": _s_sm, "cm": _s_cm, "smcm": _s_smcm}
 
-# Which sm^p cm^q product each family transforms; the product starts at
-# z^p, so the family's prefactor is p! x^(p+1).
-_FAMILY_PRODUCT: dict[str, tuple[int, int]] = {
-    "sm": (1, 0), "sm2": (2, 0), "sm3": (3, 0), "cm": (0, 1), "smcm": (1, 1), "sm2cm": (2, 1),
-}
+# Each family transforms the product sm^p cm^q that dixon_egf_table knows
+# by the family's name; it starts at z^p, so the family's prefactor is
+# p! x^(p+1).  This maps the name to p.
+_FAMILY_P: dict[str, int] = {"sm": 1, "sm2": 2, "sm3": 3, "cm": 0, "smcm": 1, "sm2cm": 2}
 
 # The doubled integers 1,1,2,2,3,3,... tile every coefficient table: each
 # J-fraction a(n) is a six-element window at these offsets (stride 6), and
@@ -153,11 +152,14 @@ def family_ogf(family: str, m_max: int) -> PowerSeries:
     """The reduced series G(w) with F(x) = p! x^(p+1) G(x^3), G(0) = 1.
 
     F is the shifted transfer of sm^p cm^q for the family's (p, q), so
-    [x^(n+1)] F is the integer n! [z^n] sm^p cm^q; the reduction divides
-    out the prefactor and reads every third coefficient.
+    [x^(n+1)] F is the integer n! [z^n] sm^p cm^q, read off the sm, cm
+    and sm cm tables through Dixon's system; the reduction divides out
+    the prefactor and reads every third coefficient.
     """
-    p, q = _FAMILY_PRODUCT[family]
-    moments = dixon_egf_product(p, q, 3 * m_max + p)
+    if family not in _FAMILY_P:
+        raise ValueError(f"unknown family {family!r}: expected one of {', '.join(_FAMILY_P)}")
+    p = _FAMILY_P[family]
+    moments = dixon_egf_table(family, 3 * m_max + p)
     lead = math.factorial(p)
     g = PowerSeries([Fraction(moments[3 * m + p], lead) for m in range(m_max + 1)], m_max)
     if g.coefficient(0) != 1:
@@ -375,19 +377,26 @@ def verify_conrad(
     ``inject_fault`` corrupts one extracted value first, to prove the
     comparison actually bites.
     """
+    families = {"j": J_FAMILIES, "s": S_FAMILIES}.get(kind)
+    if families is None:
+        raise ValueError(f"unknown fraction kind {kind!r}")
+    if family not in families:
+        raise ValueError(
+            f"unknown {kind}-fraction family {family!r}: expected one of {', '.join(families)}"
+        )
+    least = 0 if kind == "j" else 1  # any less compares no coefficient
+    if max_n < least:
+        raise ValueError(f"max_n must be >= {least} for a {kind}-fraction")
     if kind == "j":
         ref = conrad_j_reference(family, max_n)
         got = jfraction_extract(family_ogf(family, 2 * (max_n + 1)), max_n + 1)
         # (slot, index of the first entry, expected, extracted)
         slots = [("c", 0, ref.cs, list(got.cs)), ("a", 1, ref.as_, list(got.as_))]
-    elif kind == "s":
+    else:
         ds = sfraction_extract(family_ogf(family, max_n + 1), max_n).ds
         slots = [("d", 1, conrad_s_reference(family, max_n).ds, list(ds))]
-    else:
-        raise ValueError(f"unknown fraction kind {kind!r}")
-    faulted = slots[0][3]
-    if inject_fault and faulted:
-        faulted[-1] += 1
+    if inject_fault:
+        slots[0][3][-1] += 1
     name = f"{kind}-fraction {family}"
     for slot, first, wanted, have in slots:
         for i, want in enumerate(wanted):

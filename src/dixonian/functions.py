@@ -7,10 +7,14 @@ The pair is defined by the first-order system
 solved here two independent ways.  The construction runs the system's
 coefficient recurrence in EGF form, where every n! [z^n] sm and
 n! [z^n] cm is an integer; those cached tables are the only place the
-coefficients are computed.  Products sm^p cm^q are binomial convolutions
-of the tables, still in integers, and the rational series are the tables
-divided by n!.  The cross-check reverts a hypergeometric integral and
-never touches the ODE.
+coefficients are computed.  With them the system and the Fermat cubic
+sm^3 + cm^3 = 1 give every product the continued fractions and P need,
+still in integers: sm^2 = -cm', sm^2 cm = -sm''/2, and through
+u = sm cm, which solves u'' = -6 u^2 on a table of its own,
+sm^3 = (1 - u')/2 and P = -u(-z).  The binomial convolution of the
+tables remains for the general sm^p cm^q and as the oracle for those
+identities.  The rational series are the tables divided by n!.  The
+cross-check reverts a hypergeometric integral and never touches the ODE.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from dixonian.core import DEFAULT_ORDER, GrowingTable, PowerSeries, series_revert
 
@@ -106,12 +110,31 @@ def dixon_egf_integers(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return a[: n_max + 1], b[: n_max + 1]
 
 
+def _u_step(u: list[int]) -> None:
+    """Append n! [z^n] u at n = len(u), for u = sm cm.
+
+    u' = cm^3 - sm^3 and so u'' = -6 u^2 (the equianharmonic Weierstrass
+    equation): u(n + 2) = -6 sum C(n,i) u(i) u(n-i), a square on the
+    indices = 1 mod 3, where alone u is nonzero.
+    """
+    n = len(u) - 2
+    u.append(-6 * _binomial_square(n, 1, u) if n % 3 == 2 else 0)
+
+
+# The integer EGF table of u = sm cm, from (0, 1).  It is a table of its
+# own so that callers of dixon_egf_integers alone never grow it.
+_U_TABLE = GrowingTable(_u_step, (0, 1))
+
+
 def dixon_egf_product(p: int, q: int, n_max: int) -> list[int]:
-    """Integers n! [z^n] sm^p cm^q for n = 0..n_max.
+    """Integers n! [z^n] sm^p cm^q for n = 0..n_max, for any p, q >= 0.
 
     The EGF of a product is the binomial convolution of the factors'
-    tables, so every power stays in integers.
+    tables, so every power stays in integers.  dixon_egf_table reads the
+    products it names off the tables instead; this is their oracle.
     """
+    if p < 0 or q < 0:
+        raise ValueError(f"sm^p cm^q needs p, q >= 0, got p={p}, q={q}")
     sm, cm = dixon_egf_integers(n_max)
     factors = [(sm, 1)] * p + [(cm, 0)] * q
     out, r = factors.pop(0) if factors else ((1,) + (0,) * n_max, 0)
@@ -131,19 +154,46 @@ def _convolve(f: Sequence[int], r: int, g: Sequence[int], s: int, n_max: int) ->
     ]
 
 
-# name -> (p, q, hyperbolic).  The hyperbolic companions smh = -sm(-z) and
-# cmh = cm(-z) give smh^p cmh^q = (-1)^p (sm^p cm^q)(-z); P is smh cmh.
-_EGF_NAMES = {"sm": (1, 0, False), "cm": (0, 1, False),
-              "smh": (1, 0, True), "cmh": (0, 1, True), "P": (1, 1, True)}
+def _sm(n_max: int) -> Sequence[int]:
+    return dixon_egf_integers(n_max)[0]
+
+
+def _cm(n_max: int) -> Sequence[int]:
+    return dixon_egf_integers(n_max)[1]
+
+
+def _u(n_max: int) -> Sequence[int]:
+    return _U_TABLE.columns(n_max)[0][: n_max + 1]
+
+
+# name -> (p, n_max -> n! [z^n] sm^p cm^q for n = 0..n_max), each a shift
+# of sm, cm or u = sm cm by Dixon's system: sm^2 = -cm',
+# sm^2 cm = -(cm^2)'/2 = -sm''/2, and sm^3 = (1 - u')/2 since
+# u' = cm^3 - sm^3 = 1 - 2 sm^3 on the Fermat cubic.
+_EGF_PRODUCTS: dict[str, tuple[int, Callable[[int], Sequence[int]]]] = {
+    "sm": (1, _sm),
+    "cm": (0, _cm),
+    "sm2": (2, lambda n_max: [-c for c in _cm(n_max + 1)[1:]]),
+    "sm3": (3, lambda n_max: [((n == 0) - c) // 2 for n, c in enumerate(_u(n_max + 1)[1:])]),
+    "smcm": (1, _u),
+    "sm2cm": (2, lambda n_max: [-c // 2 for c in _sm(n_max + 2)[2:]]),
+}
+
+# The hyperbolic companions smh = -sm(-z) and cmh = cm(-z) give
+# smh^p cmh^q = (-1)^p (sm^p cm^q)(-z); P is smh cmh.
+_HYPERBOLIC = {"smh": "sm", "cmh": "cm", "P": "smcm"}
 
 
 def dixon_egf_table(name: str, n_max: int) -> list[int]:
-    """n! [z^n] of sm, cm, smh, cmh or P = smh cmh, for n = 0..n_max."""
-    p, q, hyperbolic = _EGF_NAMES[name]
-    table = dixon_egf_product(p, q, n_max)
-    if hyperbolic:
-        return [c if (p + n) % 2 == 0 else -c for n, c in enumerate(table)]
-    return table
+    """n! [z^n] for n = 0..n_max of sm, cm, sm2 = sm^2, sm3 = sm^3,
+    smcm = sm cm, sm2cm = sm^2 cm, or of smh, cmh and P = smh cmh."""
+    if name not in _EGF_PRODUCTS and name not in _HYPERBOLIC:
+        names = ", ".join([*_EGF_PRODUCTS, *_HYPERBOLIC])
+        raise ValueError(f"unknown table {name!r}: expected one of {names}")
+    p, table = _EGF_PRODUCTS[_HYPERBOLIC.get(name, name)]
+    if name in _HYPERBOLIC:
+        return [c if (p + n) % 2 == 0 else -c for n, c in enumerate(table(n_max))]
+    return list(table(n_max))
 
 
 def _from_egf(table: Sequence[int]) -> PowerSeries:
@@ -193,7 +243,8 @@ def sm_via_hypergeometric(order: int = DEFAULT_ORDER) -> PowerSeries:
 
 
 def weierstrass_P(order: int = DEFAULT_ORDER) -> PowerSeries:
-    """The product smh * cmh, which solves P'^2 = 4 P^3 + 1."""
+    """The product smh * cmh = -u(-z) with u = sm cm, which solves
+    P'^2 = 4 P^3 + 1."""
     return _from_egf(dixon_egf_table("P", order))
 
 

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from dixonian import numerics, permutations
+from dixonian import functions, numerics, permutations
 from dixonian.core import PowerSeries
 from dixonian.cli import VERIFY_TARGETS, main
 from dixonian.urn import enumerate_histories, yule_closed_form
@@ -144,6 +144,22 @@ def test_andre_valent_and_width_checks_build_no_power_series(capsys, monkeypatch
     ):
         code, out, _ = run(capsys, "verify", *argv)
         assert (code, out.splitlines()[-1]) == (0, "PASS")
+
+
+def test_conrad_checks_and_P_table_convolve_nothing(capsys, monkeypatch):
+    # The family moments and P are read off the sm, cm and u = sm cm tables
+    # through Dixon's system, with no binomial convolution.
+    cases = (("verify", "conrad-j"), ("verify", "conrad-s"), ("series", "P", "--order", "120"))
+    want = [run(capsys, *argv) for argv in cases]
+
+    def refuse(*_):
+        raise AssertionError("a product was convolved")
+
+    monkeypatch.setattr(functions, "_convolve", refuse)
+    got = [run(capsys, *argv) for argv in cases]
+    assert got == want
+    assert [out.splitlines()[-1] for _, out, _ in got[:2]] == ["PASS", "PASS"]
+    assert got[2][1].splitlines()[-1].startswith("120, ")
 
 
 @pytest.mark.parametrize("argv", FAULT_CASES)

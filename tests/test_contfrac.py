@@ -279,6 +279,31 @@ def test_chebyshev_rational_values_stay_exact(moments):
         assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
 
 
+@pytest.mark.parametrize("kind, family, max_n, message", [
+    ("j", "bogus", 4, "one of sm, sm2, sm3, cm, smcm, sm2cm$"),
+    ("s", "sm2", 4, "one of sm, cm, smcm$"),
+    ("j", "sm", -1, ">= 0"),
+    ("s", "cm", 0, ">= 1"),
+    ("t", "sm", 4, "kind"),
+])
+def test_verify_conrad_refuses_misuse(kind, family, max_n, message):
+    # An unknown family or a depth that compares no coefficient is an
+    # error, never a vacuous "all coefficients match".
+    with pytest.raises(ValueError, match=message):
+        verify_conrad(kind, family, max_n)
+
+
+def test_verify_conrad_shallowest_depths_compare():
+    assert verify_conrad("j", "sm", 0).ok and verify_conrad("s", "sm", 1).ok
+    assert not verify_conrad("j", "sm", 0, inject_fault=True).ok
+    assert not verify_conrad("s", "sm", 1, inject_fault=True).ok
+
+
+def test_family_ogf_refuses_unknown_family():
+    with pytest.raises(ValueError, match="one of sm, sm2, sm3, cm, smcm, sm2cm$"):
+        family_ogf("sm4", 4)
+
+
 def test_fault_injection_is_detected():
     assert not verify_conrad("j", "sm", 3, inject_fault=True).ok
     assert not verify_conrad("s", "cm", 5, inject_fault=True).ok

@@ -11,6 +11,7 @@ import pytest
 import dixonian
 from dixonian.core import PowerSeries, series_derive, series_integrate, series_mul
 from dixonian.functions import (
+    _convolve,
     dixon_egf_integers,
     dixon_egf_product,
     dixon_egf_table,
@@ -130,9 +131,37 @@ def test_egf_product_matches_cauchy_product(pair, p, q):
     assert dixon_egf_product(p, q, 60) == [prod.egf_coefficient(n) for n in range(61)]
 
 
+@pytest.mark.parametrize("name, p, q", [("sm2", 2, 0), ("sm3", 3, 0), ("smcm", 1, 1), ("sm2cm", 2, 1)])
+def test_dixon_identities_match_the_convolution(name, p, q):
+    # The named tables are shifts of sm, cm and u = sm cm (u'' = -6 u^2)
+    # by Dixon's system; the binomial convolution is their oracle.
+    assert dixon_egf_table(name, 300) == dixon_egf_product(p, q, 300)
+
+
+def test_P_is_minus_u_at_minus_z():
+    # P = smh cmh, by the convolution of the hyperbolic tables, and
+    # -u(-z) with u = sm cm by the convolution of sm and cm.
+    n_max = 300
+    smh, cmh = dixon_egf_table("smh", n_max), dixon_egf_table("cmh", n_max)
+    product = _convolve(smh, 1, cmh, 0, n_max)
+    u = dixon_egf_product(1, 1, n_max)
+    assert dixon_egf_table("P", n_max) == product == [-((-1) ** n) * c for n, c in enumerate(u)]
+
+
+@pytest.mark.parametrize("p, q", [(-1, 0), (0, -1), (-2, 3)])
+def test_egf_product_refuses_negative_powers(p, q):
+    with pytest.raises(ValueError, match="p, q >= 0"):
+        dixon_egf_product(p, q, 10)
+
+
+def test_egf_table_names_the_valid_tables():
+    with pytest.raises(ValueError, match="sm, cm, sm2, sm3, smcm, sm2cm, smh, cmh, P"):
+        dixon_egf_table("sm4", 10)
+
+
 _THREADED_BUILD = """
 import hashlib, sys, threading
-from dixonian.functions import dixon_egf_integers
+from dixonian.functions import dixon_egf_integers, dixon_egf_table
 from dixonian.permutations import andre_polynomials
 from dixonian.urn import M12, history_polynomials
 sys.setswitchinterval(1e-5)
@@ -140,16 +169,16 @@ barrier = threading.Barrier(4)
 results = [None] * 4
 def ask(i):
     barrier.wait()
-    results[i] = (dixon_egf_integers(600), history_polynomials(M12, 1, 0, 160),
-                  andre_polynomials(80))
+    results[i] = (dixon_egf_integers(600), dixon_egf_table("P", 600),
+                  history_polynomials(M12, 1, 0, 160), andre_polynomials(80))
 threads = [threading.Thread(target=ask, args=(i,)) for i in range(4)]
 for t in threads:
     t.start()
 for t in threads:
     t.join(60)
     assert not t.is_alive()
-results.append((dixon_egf_integers(600), history_polynomials(M12, 1, 0, 160),
-                andre_polynomials(80)))
+results.append((dixon_egf_integers(600), dixon_egf_table("P", 600),
+                history_polynomials(M12, 1, 0, 160), andre_polynomials(80)))
 for r in results:
     print(*(hashlib.sha256(repr(part).encode()).hexdigest() for part in r))
 """
@@ -157,7 +186,7 @@ for r in results:
 
 def test_egf_tables_are_thread_safe():
     # Four threads grow cold caches at once, in a fresh interpreter: the EGF
-    # tables, the urn rows from x and the André rows.  Each of them, and a
+    # tables of sm, cm and u = sm cm, the urn rows from x and the André rows.  Each of them, and a
     # later call, must see the single-threaded tables.
     src = os.path.dirname(os.path.dirname(dixonian.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -167,8 +196,8 @@ def test_egf_tables_are_thread_safe():
     ).stdout.split()
     expected = [
         hashlib.sha256(repr(part).encode()).hexdigest()
-        for part in (dixon_egf_integers(600), history_polynomials(M12, 1, 0, 160),
-                     andre_polynomials(80))
+        for part in (dixon_egf_integers(600), dixon_egf_table("P", 600),
+                     history_polynomials(M12, 1, 0, 160), andre_polynomials(80))
     ]
     assert out == expected * 5
 

@@ -62,14 +62,15 @@ def test_cli_import_loads_every_traced_module(run_fresh):
 
 def test_cli_import_grows_no_table(run_fresh):
     # Every grown table stays at its seed until a call asks for more: the
-    # EGF pair at n = 0..1, no urn start, and the André walk at row 0.
+    # EGF pair and u = sm cm at n = 0..1, no urn start, and the André walk
+    # at row 0.
     sizes = run_fresh(
         "import dixonian.cli\n"
         "from dixonian import functions, permutations, urn\n"
-        "print(len(functions._EGF_TABLES), urn._history_table.cache_info().currsize,\n"
-        "      len(permutations._ANDRE_ROWS))"
+        "print(len(functions._EGF_TABLES), len(functions._U_TABLE),\n"
+        "      urn._history_table.cache_info().currsize, len(permutations._ANDRE_ROWS))"
     )
-    assert sizes == ["2", "0", "1"]
+    assert sizes == ["2", "2", "0", "1"]
 
 
 def _traced(tmp_path, argv) -> tuple[list[str], set[tuple[str, str]], dict]:
