@@ -39,9 +39,8 @@ from dixonian.permutations import (
     repeated_series,
 )
 from dixonian.urn import (
-    BRUTE_CAP_ENV,
     M12,
-    brute_cap,
+    check_brute,
     enumerate_histories,
     history_count_table,
     yule_closed_form,
@@ -346,17 +345,12 @@ def _flag_value(args: argparse.Namespace, flag: str) -> object:
 
 
 def _check_cost(flag: str, size: int) -> None:
-    """The one cost guard: a brute-force size past the cap, or a malformed
+    """A brute-force size that :func:`check_brute` refuses, or a malformed
     cap, is a usage error."""
     try:
-        cap = brute_cap()
+        check_brute(flag, size)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if size > cap:
-        raise UsageError(
-            f"{flag} {size} exceeds the brute-force cap {cap}; "
-            f"set {BRUTE_CAP_ENV} to raise it"
-        )
 
 
 def cmd_verify(args: argparse.Namespace) -> CommandOutput:

@@ -474,16 +474,27 @@ class RationalFunction(NamedTuple):
         return RationalFunction(num=spread(self.num), den=spread(self.den))
 
 
+def _check_depth(depth: int, need: int, got: int, what: str = "coefficients") -> None:
+    """Refuse a negative depth, or one that reads past the coefficients given."""
+    if depth < 0:
+        raise ValueError(f"depth {depth} is negative ({got} {what} given)")
+    if got < need:
+        raise ValueError(f"depth {depth} needs {need} {what}, got {got}")
+
+
 def convergent_j(
     cs: Sequence[Fraction | int], as_: Sequence[Fraction | int], depth: int
 ) -> RationalFunction:
     """Exact depth-level truncation of a J-fraction (depth >= 1 uses c0..)."""
+    _check_depth(depth, depth, len(cs), "c coefficients")
+    _check_depth(depth, depth - 1, len(as_), "a coefficients")
     return _convergent(_j_steps(cs, as_, depth), [0])
 
 
 def convergent_s(ds: Sequence[Fraction | int], depth: int) -> RationalFunction:
     """Exact depth-level truncation of an S-fraction, plus convention:
     D(k) = 1 and B(k) = d(k) w from X(-1) = 1."""
+    _check_depth(depth, depth, len(ds))
     steps = [([1], [0, ds[k]]) for k in range(depth)]
     return _convergent(steps, [1])
 
@@ -546,6 +557,8 @@ def valent_ops(max_n: int, route: str = "recurrence") -> list[_Poly]:
     (3i-2)^2 (3i-1) at t^(3j) and (3i-2)(3i-1)^2 at t^(3j+1), convolved in
     integers; theta^k / k! has integer EGF rows, so (3m)! divides exactly.
     """
+    if max_n < 0:
+        raise ValueError(f"valent_ops needs max_n >= 0, got {max_n}")
     if route == "recurrence":
         ref = conrad_j_reference("cm", max_n)
         dens = [[1], *_wallis(_j_steps(ref.cs, ref.as_, max_n), [0])]

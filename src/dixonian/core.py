@@ -458,7 +458,9 @@ class GrowingTable:
 
     def columns(self, n: int) -> Sequence[Sequence]:
         """The columns, each holding at least the entries 0..n: the shared
-        tuples up to the cap, private lists past it."""
+        tuples up to the cap, private lists past it.  A negative n raises."""
+        if n < 0:
+            raise ValueError(f"table sizes start at 0, got {n}")
         columns = self._columns
         if len(columns[0]) > n:
             return columns

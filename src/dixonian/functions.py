@@ -190,6 +190,8 @@ def dixon_egf_table(name: str, n_max: int) -> list[int]:
     if name not in _EGF_PRODUCTS and name not in _HYPERBOLIC:
         names = ", ".join([*_EGF_PRODUCTS, *_HYPERBOLIC])
         raise ValueError(f"unknown table {name!r}: expected one of {names}")
+    if n_max < 0:  # here, as the shifted tables read past n_max
+        raise ValueError(f"table sizes start at 0, got {n_max}")
     p, table = _EGF_PRODUCTS[_HYPERBOLIC.get(name, name)]
     if name in _HYPERBOLIC:
         return [c if (p + n) % 2 == 0 else -c for n, c in enumerate(table(n_max))]

@@ -348,6 +348,8 @@ def pi3(dps: int = 30) -> NumericValue:
     raises.
     """
     global _pi3_checked
+    if dps < 0:
+        raise ValueError(f"digits must be nonnegative, got {dps}")
     bits = _pi3_bits(dps)
     result = NumericValue(*_pi3_ball(bits), bits)
     if not _pi3_checked:
@@ -536,6 +538,8 @@ def _sm_cm(z: object, digits: int, flip: bool = False) -> tuple[Ball, Ball, int]
     rounded from pi3/3 at the caller's precision; the pole end does not.
     A domain error names the end in the caller's frame, z or -z.
     """
+    if digits < 0:
+        raise ValueError(f"digits must be nonnegative, got {digits}")
     z, zero, pole = (-_exact(z), "-pi3/3", "pi3/3") if flip else (_exact(z), "pi3/3", "-pi3/3")
     if z > _THIRD_PERIOD + Fraction(1, 10 ** (digits + 3)):
         raise ValueError(f"argument lies past the first zero {zero}")

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from dixonian.contfrac import jfraction_to_series, motzkin_rows, motzkin_step
 from dixonian.core import GrowingTable, PowerSeries, series_mul
-from dixonian.urn import BRUTE_CAP_ENV, M12, _history_rows, brute_cap
+from dixonian.urn import M12, _history_rows, check_brute
 
 __all__ = [
     "VALLEY",
@@ -133,18 +133,8 @@ def _placements(
     l below.  As the run has its own residue, that holds exactly when
     q - s has it, so q steps by 3.  The prune skips only prefixes that
     cannot complete; ``keep`` still checks every placed value.
-
-    Sizes are checked before the search starts: n must be nonnegative and
-    at most the brute enumeration cap.
     """
-    if n < 0:
-        raise ValueError("negative sizes make no sense")
-    limit = brute_cap()
-    if n > limit:
-        raise ValueError(
-            f"enumerating n = {n} exceeds the enumeration cap {limit}; "
-            f"set {BRUTE_CAP_ENV} to raise it"
-        )
+    check_brute("n =", n)
     if residues and n and n % 3 != residues[0]:
         return 0
     # word[p] is the value at position p = 1..n; a leaf has written them all
@@ -316,8 +306,6 @@ def parity_class_counts_dp(n: int) -> tuple[int, int]:
     rows that :func:`dixonian.urn.history_polynomials` shares, walked once
     per process; both ends are read in place, without a copy.
     """
-    if n < 0:
-        raise ValueError("negative sizes make no sense")
     slots = _history_rows(M12, 1, 0, n)[n]
     return slots[0], slots[-1]
 
@@ -518,8 +506,6 @@ def permutation_path_total(
     ``alternating`` bars the level steps, leaving the valley-peak-only
     permutations: tangent counts on the closed side, secant on the open.
     """
-    if n < 0:
-        raise ValueError("negative sizes make no sense")
     zero = lambda lvl: 0  # noqa: E731
     if open_right:
         gamma = zero if alternating else (lambda lvl: 2 * lvl + 1)
@@ -680,27 +666,18 @@ def andre_polynomials(k_max: int) -> list[dict[int, int]]:
     are stored, and a longer request steps on from the last stored row
     without storing.  The dicts are fresh on every call.
     """
-    if k_max < 0:
-        raise ValueError("negative orders make no sense")
     rows = _ANDRE_ROWS.columns(k_max)[0]
     return [{3 * l + 1: c for l, c in enumerate(rows[k])} for k in range(k_max + 1)]
 
 
-def _andre_step(
-    rows: list[list[int]], up: list[int], level: list[int], down: list[int]
-) -> None:
-    """Append row k + 1 of the André walk after rows 0..k, and first the
-    weights it reads one altitude higher: alpha_k, gamma_(k+1) and beta_(k+1)."""
-    k = len(rows) - 1
-    up.append(andre_weights(k)[0])
-    _, beta, gamma = andre_weights(k + 1)
-    level.append(gamma)
-    down.append(beta)
-    rows.append(motzkin_step(rows[-1], up, level, down))
+def _andre_step(rows: list[list[int]]) -> None:
+    """Append row k + 1 of the André walk after rows 0..k, reading the
+    weights of altitudes 0..k + 1 off :func:`andre_weights`; the down
+    step from l + 1 weighs beta_(l+1)."""
+    alpha, beta, gamma = zip(*map(andre_weights, range(len(rows) + 1)))
+    rows.append(motzkin_step(rows[-1], alpha, gamma, beta[1:]))
 
 
-# The André rows, with the up, level and down weights that reach them.
-# The first 128 rows are stored, about 2.3 MB.
+# The André rows; the first 128 are stored, about 2.3 MB.
 _ANDRE_ROWS_STORED = 128
-_ANDRE_ROWS = GrowingTable(_andre_step, [[1]], [], [andre_weights(0)[2]], [],
-                           cap=_ANDRE_ROWS_STORED)
+_ANDRE_ROWS = GrowingTable(_andre_step, [[1]], cap=_ANDRE_ROWS_STORED)

@@ -36,6 +36,7 @@ __all__ = [
     "BRUTE_CAP_ENV",
     "DEFAULT_BRUTE_CAP",
     "brute_cap",
+    "check_brute",
     "enumerate_histories",
     "history_polynomials",
     "history_count_table",
@@ -55,6 +56,7 @@ __all__ = [
 
 BRUTE_CAP_ENV = "DIXONIAN_BRUTE_CAP"
 DEFAULT_BRUTE_CAP = 9
+_YULE_T_MAX = 2.0  # yule_rk4 integrates over [0, _YULE_T_MAX]
 
 
 class UrnRule:
@@ -158,7 +160,7 @@ def history_polynomials(
     Each call returns fresh lists.
     """
     rows = _history_rows(rule, p, q, n_max)
-    return [list(row) for row in rows[: max(n_max, 0) + 1]]
+    return [list(row) for row in rows[: n_max + 1]]
 
 
 def history_count_table(
@@ -176,7 +178,7 @@ def history_count_table(
 
 def history_counts(rule: UrnRule, p: int, q: int, n: int) -> dict[int, int]:
     """The counts of :func:`history_count_table` for length n alone."""
-    row = _history_rows(rule, p, q, n)[max(n, 0)]
+    row = _history_rows(rule, p, q, n)[n]
     return {j: c for j, c in enumerate(row) if c}
 
 
@@ -209,6 +211,19 @@ def brute_cap() -> int:
     return cap
 
 
+def check_brute(what: str, n: int) -> None:
+    """The one guard on brute-force sizes: refuse n below 0 or past
+    :func:`brute_cap`, naming the size as ``what``."""
+    if n < 0:
+        raise ValueError(f"{what} {n} is negative")
+    cap = brute_cap()
+    if n > cap:
+        raise ValueError(
+            f"{what} {n} exceeds the brute-force cap {cap}; "
+            f"set {BRUTE_CAP_ENV} to raise it"
+        )
+
+
 def enumerate_histories(n: int, start: str = "x") -> Counter[str]:
     """Every length-n history of the sacrificial urn, as rewrite words.
 
@@ -221,16 +236,9 @@ def enumerate_histories(n: int, start: str = "x") -> Counter[str]:
     the new word inherits its multiplicity, so 9 draws from "x" end on
     341 distinct words rather than 9! = 362880 copies.
     """
-    if n < 0:
-        raise ValueError("cannot run a negative number of draws")
+    check_brute("n =", n)
     if not start or set(start) - {"x", "y"}:
         raise ValueError("the starting word must be nonempty over {x, y}")
-    limit = brute_cap()
-    if n > limit:
-        raise ValueError(
-            f"{n} draws exceed the enumeration cap {limit}; "
-            f"set {BRUTE_CAP_ENV} to raise it"
-        )
     words = Counter({start: 1})
     for _ in range(n):
         step: Counter[str] = Counter()
@@ -280,19 +288,17 @@ def ternary_path_counts(nu_max: int) -> list[int]:
 # -- the Yule embedding -------------------------------------------------
 
 
-def yule_rk4(
-    steps: int, checkpoints: Sequence[float], t_max: float = 2.0
-) -> dict[float, tuple[float, float]]:
+def yule_rk4(steps: int, checkpoints: Sequence[float]) -> dict[float, tuple[float, float]]:
     """Classical fixed-step Runge-Kutta for X' = Y^2 - X, Y' = X^2 - Y
-    from (0, 1), reporting the state at each checkpoint.  The drift of the
-    normalized two-type Yule composition is written out in each stage.
+    over [0, 2] from (0, 1), reporting the state at each checkpoint.  The
+    drift of the normalized two-type Yule composition is written out in each stage.
 
     Checkpoints must sit exactly on the step grid so the comparison with
     the closed form carries no interpolation error.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
-    h = t_max / steps
+    h = _YULE_T_MAX / steps
     want: dict[int, float] = {}
     for t in checkpoints:
         idx = round(t / h)
@@ -331,6 +337,8 @@ def yule_value(expr: str, t: Fraction, digits: int) -> NumericValue:
     """
     if t < 0:
         raise ValueError("the embedding runs forward in time")
+    if digits < 0:
+        raise ValueError(f"digits must be nonnegative, got {digits}")
     bits = math.ceil((digits + 10) * math.log2(10))
     decay, spread = _exp_neg(t, bits)
     one = 1 << bits

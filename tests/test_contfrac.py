@@ -192,6 +192,17 @@ def test_extraction_rejects_bad_series():
         sfraction_extract(PowerSeries([0, 1], 1), 1)
     with pytest.raises(ValueError, match="^depth 3 needs 4 coefficients$"):
         sfraction_extract(PowerSeries([1, 1, 1], 2), 3)
+    # the convergents refuse a depth their coefficients do not reach
+    with pytest.raises(ValueError, match="^depth -2 is negative"):
+        convergent_j([1], [], -2)
+    with pytest.raises(ValueError, match="^depth -1 is negative"):
+        convergent_s([1, 2], -1)
+    with pytest.raises(ValueError, match="^depth 3 needs 3 c coefficients, got 1$"):
+        convergent_j([1], [], 3)
+    with pytest.raises(ValueError, match="^depth 2 needs 1 a coefficients, got 0$"):
+        convergent_j([1, 2, 3], [], 2)
+    with pytest.raises(ValueError, match="^depth 5 needs 5 coefficients, got 2$"):
+        convergent_s([1, 2], 5)
 
 
 # -- the six J-families and three S-families ---------------------------
@@ -594,6 +605,9 @@ def test_valent_recurrence_matches_printed_table():
 def test_valent_gf_route_agrees():
     for max_n in (0, 1, 6, 20):
         assert valent_ops(max_n, route="gf") == valent_ops(max_n, route="recurrence")
+    for route in ("recurrence", "gf"):
+        with pytest.raises(ValueError, match="max_n >= 0, got -1"):
+            valent_ops(-1, route=route)
 
 
 # -- transfer ladder S/C/D ------------------------------------------------

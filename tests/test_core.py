@@ -435,3 +435,37 @@ def test_growing_table_keeps_its_entries_when_a_step_raises():
             table.columns(5)
         assert len(table) == 2
     assert table.columns(2) == ((0, 1, 2),)
+
+
+def test_every_table_reader_refuses_negative_sizes_after_growth():
+    """Readers slice prefixes off shared tables, so a negative size must
+    raise however far the tables have grown, not read a slice like [: -2]."""
+    from dixonian import functions, urn
+    from dixonian.permutations import andre_polynomials, parity_class_counts_dp
+
+    functions.dixon_egf_integers(50)
+    functions.dixon_egf_table("P", 50)
+    urn.history_polynomials(urn.M12, 1, 0, 30)
+    andre_polynomials(20)
+    half = Fraction(1, 2)
+    readers = [
+        lambda n: functions.dixon_egf_integers(n),
+        lambda n: functions.dixon_egf_product(1, 2, n),
+        lambda n: functions._u(n),
+        lambda n: urn._history_rows(urn.M12, 1, 0, n),
+        lambda n: urn.history_polynomials(urn.M12, 1, 0, n),
+        lambda n: urn.history_count_table(urn.M12, 1, 0, n),
+        lambda n: urn.history_counts(urn.M12, 1, 0, n),
+        lambda n: urn.t23_opposite_counts(n),
+        lambda n: urn.history_egf_partial(half, half, n),
+        parity_class_counts_dp,
+        andre_polynomials,
+    ]
+    names = [*functions._EGF_PRODUCTS, *functions._HYPERBOLIC]
+    readers += [lambda n, name=name: functions.dixon_egf_table(name, n) for name in names]
+    for read in readers:
+        for n in (-1, -3):
+            with pytest.raises(ValueError, match="^table sizes start at 0, got -"):
+                read(n)
+    with pytest.raises(ValueError):
+        GrowingTable(lambda rows: rows.append(0), [0]).columns(-1)

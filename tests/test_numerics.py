@@ -227,6 +227,16 @@ def test_domain_errors():
         eval_smh(float(a) + 0.001)
     with pytest.raises(ValueError):
         eval_cm(-(float(a) + 0.01))
+    # negative digits are refused; 0 digits still evaluate
+    from dixonian.urn import yule_value
+
+    negative = [lambda: eval_smh(Fraction(1, 2), -4), lambda: eval_cm(0, -1),
+                lambda: pi3(-30), lambda: pi3(-10), lambda: zeta0(-1),
+                lambda: yule_value("yuleX", Fraction(1), -1)]
+    for route in negative:
+        with pytest.raises(ValueError, match="^digits must be nonnegative"):
+            route()
+    assert pi3(0).bits and eval_smh(Fraction(1, 2), 0).bits
 
 
 def test_pole_is_found_by_the_doubling():

@@ -338,6 +338,8 @@ def test_placement_routes_reject_negative_sizes():
         repeated_count_brute(-1, 2)
     with pytest.raises(ValueError):
         polarized_total(-1)
+    with pytest.raises(ValueError):
+        parity_class_counts_dp(-1)
     assert parity_class_members("Y", 0) == [()]
     assert repeated_count_brute(0, 2) == polarized_total(0) == 1
 
@@ -636,6 +638,7 @@ def test_walk_past_the_stored_rows_matches_the_recurrence():
     k_max = permutations._ANDRE_ROWS_STORED + 4
     assert andre_polynomials(k_max) == andre_recurrence(k_max)
     assert len(permutations._ANDRE_ROWS) == permutations._ANDRE_ROWS_STORED
+    assert len(permutations._ANDRE_ROWS.columns(0)) == 1
 
 
 def test_polynomials_reproduce_derivatives():

@@ -18,6 +18,7 @@ from dixonian.urn import (
     T23,
     UrnRule,
     brute_cap,
+    check_brute,
     enumerate_histories,
     histogram_summary,
     history_composition_residual,
@@ -190,8 +191,14 @@ def test_brute_cap_respects_environment(monkeypatch):
     monkeypatch.setenv(BRUTE_CAP_ENV, "3")
     assert brute_cap() == 3
     assert enumerate_histories(3).total() == 6
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=BRUTE_CAP_ENV):
         enumerate_histories(4)
+    with pytest.raises(ValueError):
+        enumerate_histories(-1)
+    check_brute("n =", 3)
+    for n in (-1, 4):
+        with pytest.raises(ValueError):
+            check_brute("n =", n)
     monkeypatch.setenv(BRUTE_CAP_ENV, "4x")
     with pytest.raises(ValueError):
         brute_cap()
