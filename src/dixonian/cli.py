@@ -28,6 +28,7 @@ from dixonian.contfrac import (
     valent_ops,
     verify_conrad,
 )
+from dixonian.core import DEFAULT_ORDER
 from dixonian.functions import _convolve, dixon_egf_integers, dixon_egf_table
 from dixonian.numerics import _decimal, eval_cmh, eval_smh, pi3
 from dixonian.permutations import (
@@ -96,7 +97,7 @@ def resolve_format(args: argparse.Namespace) -> str:
 def cmd_series(args: argparse.Namespace) -> CommandOutput:
     order = args.order
     if order is None:
-        raw = os.environ.get(ORDER_ENV, "60")
+        raw = os.environ.get(ORDER_ENV, str(DEFAULT_ORDER))
         try:
             order = int(raw)
         except ValueError:
@@ -509,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_series.add_argument("function", choices=("sm", "cm", "smh", "cmh", "P"))
     p_series.add_argument(
-        "--order", type=int, default=None, help="last row of the table (default 60)"
+        "--order", type=int, default=None, help=f"last row of the table (default {DEFAULT_ORDER})"
     )
 
     p_verify = sub.add_parser(

@@ -129,11 +129,6 @@ def _s_smcm(k: int) -> int:
 
 S_FAMILIES: dict[str, Callable[[int], int]] = {"sm": _s_sm, "cm": _s_cm, "smcm": _s_smcm}
 
-# Each family transforms the product sm^p cm^q that dixon_egf_table knows
-# by the family's name; it starts at z^p, so the family's prefactor is
-# p! x^(p+1).  This maps the name to p.
-_FAMILY_P: dict[str, int] = {"sm": 1, "sm2": 2, "sm3": 3, "cm": 0, "smcm": 1, "sm2cm": 2}
-
 # The doubled integers 1,1,2,2,3,3,... tile every coefficient table: each
 # J-fraction a(n) is a six-element window at these offsets (stride 6), and
 # each S-fraction d(k) is a three-element window after the same discard.
@@ -153,13 +148,16 @@ def family_ogf(family: str, m_max: int) -> PowerSeries:
 
     F is the shifted transfer of sm^p cm^q for the family's (p, q), so
     [x^(n+1)] F is the integer n! [z^n] sm^p cm^q, read off the sm, cm
-    and sm cm tables through Dixon's system; the reduction divides out
-    the prefactor and reads every third coefficient.
+    and sm cm tables through Dixon's system; that row starts at z^p, with
+    p <= 3.  The reduction divides out the prefactor and reads every third
+    coefficient.
     """
-    if family not in _FAMILY_P:
-        raise ValueError(f"unknown family {family!r}: expected one of {', '.join(_FAMILY_P)}")
-    p = _FAMILY_P[family]
-    moments = dixon_egf_table(family, 3 * m_max + p)
+    if family not in J_FAMILIES:
+        raise ValueError(f"unknown family {family!r}: expected one of {', '.join(J_FAMILIES)}")
+    if m_max < 0:
+        raise ValueError(f"m_max must be nonnegative, got {m_max}")
+    moments = dixon_egf_table(family, 3 * m_max + 3)
+    p = next(n for n, c in enumerate(moments) if c)
     lead = math.factorial(p)
     g = PowerSeries([Fraction(moments[3 * m + p], lead) for m in range(m_max + 1)], m_max)
     if g.coefficient(0) != 1:
@@ -234,11 +232,7 @@ def jfraction_extract(series: PowerSeries, depth: int) -> JFraction:
     """
     if series.coefficient(0) != 1:
         raise ValueError("J-fraction extraction requires a series starting at 1")
-    if series.order < 2 * depth:
-        raise ValueError(
-            f"depth {depth} needs {2 * depth + 1} coefficients, "
-            f"got {series.order + 1}"
-        )
+    _check_depth(depth, 2 * depth + 1, series.order + 1)
     values = list(_chebyshev(series.coeffs, 2 * depth - 1))
     return JFraction(cs=tuple(values[0::2]), as_=tuple(values[1::2]))
 
@@ -253,8 +247,7 @@ def sfraction_extract(series: PowerSeries, depth: int) -> SFraction:
     """
     if series.coefficient(0) != 1:
         raise ValueError("S-fraction extraction requires a series starting at 1")
-    if series.order < depth:
-        raise ValueError(f"depth {depth} needs {depth + 1} coefficients")
+    _check_depth(depth, depth + 1, series.order + 1)
     ds: list[Fraction | int] = []
     for j, value in enumerate(_chebyshev(series.coeffs, depth)):
         if j == 0:

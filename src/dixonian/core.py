@@ -36,19 +36,11 @@ __all__ = [
     "series_integrate",
     "series_derive",
     "delta_apply",
-    "format_rational",
 ]
 
 #: Truncation order used when callers do not ask for anything else.  High
 #: enough for every golden table in the test suite, with headroom.
 DEFAULT_ORDER = 60
-
-
-def format_rational(q: Fraction) -> str:
-    """Serialize a rational as ``"num/den"``, or ``"num"`` when den == 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _as_fraction(value: object) -> Fraction:
@@ -212,7 +204,7 @@ class PowerSeries:
         return hash(self._coeffs)
 
     def __repr__(self) -> str:
-        head = ", ".join(format_rational(c) for c in self._coeffs[:6])
+        head = ", ".join(map(str, self._coeffs[:6]))
         tail = ", ..." if self.order > 5 else ""
         return f"PowerSeries([{head}{tail}], order={self.order})"
 

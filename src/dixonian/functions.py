@@ -262,6 +262,8 @@ def dumont_R(order: int = DEFAULT_ORDER) -> PowerSeries:
     cancelled explicitly before dividing; the result is exact to
     order - 1 and starts z^2 + ...
     """
+    if order < 3:
+        raise ValueError(f"the Dumont ratio needs order >= 3, got {order}")
     pair = dixon_series(order)
     num = (PowerSeries.one(order) - pair.cm) * 3
     if num.coeffs[:3] != (0, 0, 0) or pair.sm.coeffs[0] != 0:

@@ -16,9 +16,11 @@ with a counted error.  Once per process it is checked against the first
 zero of cm, which the sm/cm evaluator brackets: mathematics independent
 of the AGM reduction.  e^-t, which the Yule values need, is a ball too.
 
-Only the quadrature, the Abelian integral and the mpf views of a ball
-(``value`` and ``error_bound``) import mpmath, where they run; evaluating
-sm, cm and pi3 and printing their digits never load it.
+Every argument, the quadrature's endpoints included, enters through one
+exact converter, which refuses NaN and infinities.  Only the quadrature,
+the Abelian integral and the mpf views of a ball (``value`` and
+``error_bound``) import mpmath, where they run; evaluating sm, cm and pi3
+and printing their digits never load it.
 """
 
 from __future__ import annotations
@@ -146,19 +148,6 @@ def _decimal(n: int) -> str:
     return str(n) + "".join(reversed(blocks))
 
 
-def _as_mpf(x: object) -> mpmath.mpf:
-    import mpmath
-    from mpmath import mpf
-
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
-    if isinstance(x, (int, float, mpmath.mpf)):
-        return mpf(x)
-    if isinstance(x, str):
-        return mpf(x)
-    raise TypeError(f"cannot interpret {x!r} as a real number")
-
-
 def tanh_sinh_quad(f, a: object, b: object, dps: int = 30) -> NumericValue:
     """Integrate f over [a, b] by tanh-sinh quadrature with step halving.
 
@@ -175,10 +164,10 @@ def tanh_sinh_quad(f, a: object, b: object, dps: int = 30) -> NumericValue:
     strong as (b - x)^(-2/3) leaves a dropped tail of order eps_work^(1/3),
     which the tripling pushes below the requested accuracy.
     """
-    from mpmath import mp, mpf
+    from mpmath import mp, mpf, mpmathify
 
     with mp.workdps(3 * dps + 20):
-        A, B = _as_mpf(a), _as_mpf(b)
+        A, B = mpmathify(_exact(a)), mpmathify(_exact(b))
         c1, c2 = (A + B) / 2, (B - A) / 2
         eps = mpf(10) ** (-(dps + 3))
         stop_eps = mpf(10) ** (-(dps + 8))
@@ -372,16 +361,13 @@ def zeta0(dps: int = 30) -> NumericValue:
 
 def abelian_I(y: object, dps: int = 30) -> NumericValue:
     """The incomplete integral of (1 + w^3)^(-2/3) from 0 to y, for y >= 0."""
-    from mpmath import mp, mpf
+    from mpmath import mpf
 
-    with mp.workdps(dps + 10):
-        yv = _as_mpf(y)
-        if yv < 0:
-            raise ValueError("abelian_I is defined here for y >= 0 only")
-        if yv == 0:
-            return NumericValue(0, 0, 0)
-    # The raw y is passed through so the quadrature converts it at its own
-    # (higher) working precision.
+    y = _exact(y)
+    if y < 0:
+        raise ValueError("abelian_I is defined here for y >= 0 only")
+    if y == 0:
+        return NumericValue(0, 0, 0)
     return tanh_sinh_quad(lambda w: (1 + w**3) ** (mpf(-2) / 3), 0, y, dps=dps)
 
 
@@ -394,8 +380,9 @@ _THIRD_PERIOD = Fraction("1.76663875028544995731368949964843870257186853820256")
 
 
 def _exact(x: object) -> Fraction:
-    """x as an exact rational: floats and mpf values are dyadic.  An mpf
-    can only arrive once mpmath is loaded, so this never loads it."""
+    """x as an exact rational, the one way an argument enters: floats and
+    mpf values are dyadic, and NaN and infinities are refused.  An mpf can
+    only arrive once mpmath is loaded, so this never loads it."""
     mpmath = sys.modules.get("mpmath")
     if mpmath is not None and isinstance(x, mpmath.mpf):
         if not mpmath.isfinite(x):

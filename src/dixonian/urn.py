@@ -335,6 +335,8 @@ def yule_value(expr: str, t: Fraction, digits: int) -> NumericValue:
     upper end of that ball, from a few-digit ball there, bounds how far
     the value moves.  The product with e^-t is a ball product.
     """
+    if expr not in ("yuleX", "yuleY"):
+        raise ValueError(f"expr must be yuleX or yuleY, got {expr!r}")
     if t < 0:
         raise ValueError("the embedding runs forward in time")
     if digits < 0:
@@ -397,24 +399,17 @@ def history_composition_residual(
     associated ODE system pins Delta, and the shift places the initial
     condition X(0) = x0.
     """
-    from mpmath import mp, mpf
+    from mpmath import mp, mpf, mpmathify
 
     x0f, zf = Fraction(x0), Fraction(z)
     if not 0 <= x0f < 1:
         raise ValueError("x0 must sit in [0, 1) for the real closed form")
     lhs = history_egf_partial(x0f, zf, n_max)
     with mp.workdps(dps + 10):
-        delta3 = 1 - x0f**3
-        delta = (mpf(delta3.numerator) / delta3.denominator) ** (mpf(1) / 3)
-        arg = (mpf(x0f.numerator) / x0f.denominator) / delta
-    shift = abelian_I(arg, dps=dps)
-    with mp.workdps(dps + 10):
-        inner = delta * (mpf(zf.numerator) / zf.denominator) + shift.value
-    closed = eval_smh(inner, digits=dps)
-    with mp.workdps(dps + 10):
-        rhs = delta * closed.value
-        lhs_v = mpf(lhs.numerator) / lhs.denominator
-        return float(abs(lhs_v - rhs))
+        delta = mpmathify(1 - x0f**3) ** (mpf(1) / 3)
+        shift = abelian_I(mpmathify(x0f) / delta, dps=dps)
+        closed = eval_smh(delta * mpmathify(zf) + shift.value, digits=dps)
+        return float(abs(mpmathify(lhs) - delta * closed.value))
 
 
 # -- histogram shape ----------------------------------------------------

@@ -190,8 +190,13 @@ def test_extraction_rejects_bad_series():
         jfraction_extract(PowerSeries([1, 1, 1], 2), 2)
     with pytest.raises(ValueError, match="^S-fraction extraction requires a series starting at 1$"):
         sfraction_extract(PowerSeries([0, 1], 1), 1)
-    with pytest.raises(ValueError, match="^depth 3 needs 4 coefficients$"):
+    with pytest.raises(ValueError, match="^depth 3 needs 4 coefficients, got 3$"):
         sfraction_extract(PowerSeries([1, 1, 1], 2), 3)
+    # a negative depth is refused, not read as an empty fraction
+    with pytest.raises(ValueError, match="^depth -1 is negative"):
+        jfraction_extract(PowerSeries([1, 1, 1], 2), -1)
+    with pytest.raises(ValueError, match="^depth -2 is negative"):
+        sfraction_extract(PowerSeries([1, 1, 1], 2), -2)
     # the convergents refuse a depth their coefficients do not reach
     with pytest.raises(ValueError, match="^depth -2 is negative"):
         convergent_j([1], [], -2)
@@ -313,6 +318,9 @@ def test_verify_conrad_shallowest_depths_compare():
 def test_family_ogf_refuses_unknown_family():
     with pytest.raises(ValueError, match="one of sm, sm2, sm3, cm, smcm, sm2cm$"):
         family_ogf("sm4", 4)
+    for family in ("sm", "cm", "sm3"):
+        with pytest.raises(ValueError, match="^m_max must be nonnegative, got -1$"):
+            family_ogf(family, -1)
 
 
 def test_fault_injection_is_detected():

@@ -10,7 +10,6 @@ from dixonian.core import (
     PowerSeries,
     _series_div,
     delta_apply,
-    format_rational,
     series_binomial_pow,
     series_compose,
     series_derive,
@@ -57,9 +56,8 @@ def test_order_and_padding():
         f.coefficient(6)
 
 
-def test_rational_round_trip():
-    assert format_rational(Fraction(5)) == "5"
-    assert format_rational(Fraction(-2, 63)) == "-2/63"
+def test_repr_prints_rationals_as_str():
+    assert repr(PowerSeries([5, Fraction(-2, 63)], 1)) == "PowerSeries([5, -2/63], order=1)"
 
 
 def test_geometric_product():

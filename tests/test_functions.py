@@ -264,6 +264,10 @@ def test_weierstrass_hypergeometric_route():
 
 
 def test_dumont_ratio():
+    for order in (0, 1, 2):
+        with pytest.raises(ValueError, match=f"^the Dumont ratio needs order >= 3, got {order}$"):
+            dumont_R(order)
+    assert dumont_R(3).coeffs == (0, 0, 1)
     R = dumont_R(60)
     assert R.coefficient(2) == 1
     assert R.coefficient(8) == Fraction(-1, 756)

@@ -84,6 +84,31 @@ def test_abelian_integral_against_library_quadrature():
         abelian_I(-1)
 
 
+_NOT_FINITE = """
+import math
+from mpmath import mpf
+from dixonian.numerics import abelian_I, tanh_sinh_quad
+cases = [lambda: abelian_I(math.nan), lambda: abelian_I(math.inf),
+         lambda: abelian_I(-math.inf), lambda: abelian_I(mpf("nan")),
+         lambda: tanh_sinh_quad(lambda t: t, 0, math.nan),
+         lambda: tanh_sinh_quad(lambda t: t, math.inf, 1),
+         lambda: tanh_sinh_quad(lambda t: t, mpf("-inf"), 0)]
+for case in cases:
+    try:
+        case()
+        print("returned")
+    except ValueError as exc:
+        print(str(exc).replace(" ", "_"))
+"""
+
+
+def test_quadrature_refuses_non_finite_points(run_fresh):
+    # Before they were refused, a NaN endpoint kept the quadrature
+    # running: a fresh interpreter with a timeout fails instead of hanging.
+    want = ["cannot_evaluate_at_" + x for x in ("nan", "inf", "-inf", "nan", "nan", "inf", "-inf")]
+    assert run_fresh(_NOT_FINITE, timeout=20) == want
+
+
 def test_eval_at_origin():
     assert eval_sm(0).value == 0
     assert eval_cm(0).value == 1
@@ -236,6 +261,8 @@ def test_domain_errors():
     for route in negative:
         with pytest.raises(ValueError, match="^digits must be nonnegative"):
             route()
+    with pytest.raises(ValueError, match="^expr must be yuleX or yuleY, got 'foo'$"):
+        yule_value("foo", Fraction(1), 10)
     assert pi3(0).bits and eval_smh(Fraction(1, 2), 0).bits
 
 
