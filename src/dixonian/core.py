@@ -1,9 +1,10 @@
 """Exact truncated power series and the urn operator delta.
 
-Series construction and continued-fraction extraction compute over
-:class:`PowerSeries`, whose coefficients are ``fractions.Fraction``; the
-urn histories are integer coefficient rows stepped by :func:`delta_apply`.
-Nothing in this module ever rounds.
+Series construction and continued-fraction extraction run on integer
+tables, the EGF rows n! [z^n] f and the moments read off them; the exact
+:class:`PowerSeries` over ``fractions.Fraction`` hands their results out
+and carries the independent routes.  The urn histories are integer
+coefficient rows stepped by :func:`delta_apply`.  Nothing here rounds.
 
 Reversion runs in integers: ``series_revert`` rescales f by
 lam = lcm of the denominators of k! f_k / f_1 so that its EGF coefficients
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from operator import add, mul
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -375,48 +376,27 @@ def delta_apply(row: list[int], rule) -> list[int]:
     exponent it lowers; the urn tables and the free-slot parity walk run
     through it.  A nonzero entry with 0 < j < a or 0 < D - j < b would
     need a negative exponent: the urn left its reachable state space, and
-    :class:`InvalidUrnStateError` is raised.
-
-    The two moves differ by g = a + b + s, so the entries with j = r mod g
-    land on the class r - a mod g, and each class is stepped as its own
-    slice.  A history of one monomial fills a single class (one entry in
-    three under M12), so the empty classes cost a scan and nothing more.
+    :class:`InvalidUrnStateError` names the lowest such term.
     """
     a, b, s = rule.a, rule.b, rule.s
     d = len(row) - 1
-    if a > 1:
-        for j in range(1, min(a, d + 1)):
-            if row[j]:
-                raise InvalidUrnStateError(
-                    f"delta on x^{j} y^{d - j} gives exponent pair ({j - a}, {d - j + s + a})"
-                )
-    if b > 1:
-        for m in range(1, min(b, d + 1)):
-            if row[d - m]:
-                raise InvalidUrnStateError(
-                    f"delta on x^{d - m} y^{m} gives exponent pair ({d - m + s + b}, {m - b})"
-                )
-    g = a + b + s
     out = [0] * (d + s + 1)
-    for r in range(min(g, d + 1)):
-        sub = row[r::g]
-        if not any(sub):
-            continue
-        # Class r lands on rp, rp + g, ...: the x move of j = r + g i on
-        # slot i (slot i - 1 when r < a), its y move one slot later.
-        if r >= a:
-            xs = list(map(mul, range(r, d + 1, g), sub))
-            ys = [0]
-            rp = r - a
-        else:
-            xs = list(map(mul, range(r + g, d + 1, g), sub[1:]))
-            ys = []
-            rp = r - a + g
-        ys += map(mul, range(d - r, b - 1, -g), sub)
-        size = (d + s - rp) // g + 1
-        xs += [0] * (size - len(xs))
-        ys += [0] * (size - len(ys))
-        out[rp::g] = map(add, xs, ys)
+    for j in compress(range(d + 1), row):
+        c = row[j]
+        if 0 < j < a:
+            raise InvalidUrnStateError(
+                f"delta on x^{j} y^{d - j} gives exponent pair ({j - a}, {d - j + s + a})"
+            )
+        if 0 < d - j < b:
+            raise InvalidUrnStateError(
+                f"delta on x^{j} y^{d - j} gives exponent pair ({j + s + b}, {d - j - b})"
+            )
+        # No earlier term reaches slot j + s + b, so the d/dy move assigns
+        # it; of slot j - a only the d/dy move of j - a - s - b came first.
+        if j < d:
+            out[j + s + b] = (d - j) * c
+        if j:
+            out[j - a] += j * c
     return out
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -299,10 +298,9 @@ _PI3_CHECK_DPS = 25
 # The check's slack on each side of pi3/3: a third of an error of 1e-20
 # in pi3 already exceeds it.
 _PI3_CHECK_GAP = Fraction(1, 10**22)
-_pi3_lock = threading.Lock()
-_pi3_checked = False
 
 
+@lru_cache(maxsize=None)
 def _check_pi3() -> None:
     """Raise unless the first zero of cm lies within 1e-22 of the pi3/3
     ball that :func:`_pi3_ball` gives at _PI3_CHECK_DPS digits.
@@ -336,19 +334,12 @@ def pi3(dps: int = 30) -> NumericValue:
     process against the first zero of cm (:func:`_check_pi3`); a miss
     raises.
     """
-    global _pi3_checked
     if dps < 0:
         raise ValueError(f"digits must be nonnegative, got {dps}")
+    # lru_cache keeps no exception, so a failed check raises on every call.
+    _check_pi3()
     bits = _pi3_bits(dps)
-    result = NumericValue(*_pi3_ball(bits), bits)
-    if not _pi3_checked:
-        # The flag goes up only once the check has passed, so no thread
-        # can return a value that was never checked.
-        with _pi3_lock:
-            if not _pi3_checked:
-                _check_pi3()
-                _pi3_checked = True
-    return result
+    return NumericValue(*_pi3_ball(bits), bits)
 
 
 def zeta0(dps: int = 30) -> NumericValue:

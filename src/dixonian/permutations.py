@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from dixonian.contfrac import jfraction_to_series, motzkin_rows, motzkin_step
@@ -638,6 +639,7 @@ def polarized_c(ell: int) -> int:
 # -- the derivative polynomials -------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def andre_weights(ell: int) -> tuple[int, int, int]:
     """Path weights induced by the derivative recurrence at level l:
     alpha up, beta down, gamma level.  They refactor the polarized

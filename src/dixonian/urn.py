@@ -22,6 +22,7 @@ from functools import lru_cache, partial
 from dixonian.core import GrowingTable, PowerSeries, delta_apply
 from dixonian.numerics import (
     NumericValue,
+    _exact,
     _exp_neg,
     _mul,
     abelian_I,
@@ -324,7 +325,7 @@ def yule_rk4(steps: int, checkpoints: Sequence[float]) -> dict[float, tuple[floa
     return out
 
 
-def yule_value(expr: str, t: Fraction, digits: int) -> NumericValue:
+def yule_value(expr: str, t: object, digits: int) -> NumericValue:
     """Certified X(t) (``expr`` "yuleX") or Y(t) ("yuleY") to ``digits``
     places: X(t) = e^-t smh(1 - e^-t) and Y(t) = e^-t cmh(1 - e^-t).
 
@@ -337,6 +338,7 @@ def yule_value(expr: str, t: Fraction, digits: int) -> NumericValue:
     """
     if expr not in ("yuleX", "yuleY"):
         raise ValueError(f"expr must be yuleX or yuleY, got {expr!r}")
+    t = _exact(t)
     if t < 0:
         raise ValueError("the embedding runs forward in time")
     if digits < 0:
@@ -359,7 +361,7 @@ def yule_value(expr: str, t: Fraction, digits: int) -> NumericValue:
 
 def yule_closed_form(t: float, dps: int = 25) -> tuple[float, float]:
     """(X(t), Y(t)) as floats, read off :func:`yule_value`."""
-    x, y = (float(yule_value(e, Fraction(t), dps)) for e in ("yuleX", "yuleY"))
+    x, y = (float(yule_value(e, t, dps)) for e in ("yuleX", "yuleY"))
     return x, y
 
 
@@ -377,10 +379,11 @@ def yule_size_law(k: int, t: float) -> float:
 # -- the bivariate closed form ------------------------------------------
 
 
-def history_egf_partial(x0: Fraction, z: Fraction, n_max: int = 40) -> Fraction:
+def history_egf_partial(x0: object, z: object, n_max: int = 40) -> Fraction:
     """Exact truncation of the bivariate history EGF of the sacrificial
     urn grown from one x ball: sum over n <= n_max of z^n/n! times
     sum_k H_{n,k} x0^k."""
+    x0, z = _exact(x0), _exact(z)
     total = Fraction(0)
     for n, row in enumerate(history_polynomials(M12, 1, 0, n_max)):
         at_x0 = sum(c * x0**j for j, c in enumerate(row) if c)
@@ -389,7 +392,7 @@ def history_egf_partial(x0: Fraction, z: Fraction, n_max: int = 40) -> Fraction:
 
 
 def history_composition_residual(
-    x0: Fraction, z: Fraction, n_max: int = 40, dps: int = 30
+    x0: object, z: object, n_max: int = 40, dps: int = 30
 ) -> float:
     """|partial history EGF - closed form| at a rational point.
 
@@ -401,7 +404,7 @@ def history_composition_residual(
     """
     from mpmath import mp, mpf, mpmathify
 
-    x0f, zf = Fraction(x0), Fraction(z)
+    x0f, zf = _exact(x0), _exact(z)
     if not 0 <= x0f < 1:
         raise ValueError("x0 must sit in [0, 1) for the real closed form")
     lhs = history_egf_partial(x0f, zf, n_max)

@@ -23,9 +23,14 @@ class Rule:
     def __init__(self, a, b, s):
         self.a, self.b, self.s = a, b, s
 
+    def __repr__(self):
+        return f"Rule({self.a}, {self.b}, {self.s})"
+
 
 RULE_M12 = Rule(1, 1, 1)
 RULE_T23 = Rule(2, 3, 1)
+# Past M12 and T23: a >= 3 with s >= 2, and b >= 2 with s >= 3.
+RULES = (RULE_M12, RULE_T23, Rule(3, 1, 2), Rule(1, 2, 3))
 
 rationals = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=6
@@ -270,11 +275,11 @@ def rows(degree, coeffs=st.integers(-5, 5)):
     return st.lists(coeffs, min_size=degree + 1, max_size=degree + 1)
 
 
-# x^3 - y^3 and x^6 - y^6 are first integrals of the M12 and T23 flows, so
-# delta sends them to zero and their multiples make terms cancel.
-INVARIANTS = (
-    (RULE_M12, [-1, 0, 0, 1]),
-    (RULE_T23, [-1, 0, 0, 0, 0, 0, 1]),
+# x^g - y^g with g = a + b + s is a first integral of the urn's flow (x^3 - y^3
+# for M12, x^6 - y^6 for T23), so delta sends it to zero and its multiples
+# make terms cancel.
+INVARIANTS = tuple(
+    (rule, [-1] + [0] * (rule.a + rule.b + rule.s - 1) + [1]) for rule in RULES
 )
 
 
@@ -329,12 +334,17 @@ def test_delta_leibniz_on_monomials(p1, q1, p2, q2):
 
 @st.composite
 def rows_with_invariant(draw):
-    """A rule and a row of degree 0-8; from the invariant's degree up, the
+    """A rule and a row of degree 0-10; from the invariant's degree up, the
     row carries a monomial multiple of the invariant, whose image cancels
-    in part."""
+    in part.  Half the rows have their dead slots 0 < j < a and
+    0 < D - j < b cleared before that, so most of them stay alive."""
     rule, invariant = draw(st.sampled_from(INVARIANTS))
-    d = draw(st.integers(0, 8))
+    d = draw(st.integers(0, 10))
     row = draw(rows(d, st.integers(-3, 3)))
+    if draw(st.booleans()):
+        for j in range(1, d):
+            if j < rule.a or d - j < rule.b:
+                row[j] = 0
     top = d - (len(invariant) - 1)
     if top >= 0:
         i = draw(st.integers(0, top))
@@ -343,7 +353,7 @@ def rows_with_invariant(draw):
     return rule, row
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(rows_with_invariant())
 def test_delta_rows_match_dict_oracle(rule_and_row):
     # A row that leaves the state space must raise on both sides.
@@ -364,7 +374,7 @@ def test_delta_rows_match_dict_oracle(rule_and_row):
         st.integers(-3, 3).filter(bool),
         max_size=8,
     ),
-    st.sampled_from((RULE_M12, RULE_T23)),
+    st.sampled_from(RULES),
 )
 def test_delta_steps_each_degree_of_a_mixed_dict(terms, rule):
     # delta keeps degrees apart, so the oracle on a mixed dict is the
@@ -395,6 +405,42 @@ def test_delta_dead_state_messages_match_oracle(p, q):
     with pytest.raises(InvalidUrnStateError) as got:
         delta_apply(monomial(1, p, q), RULE_T23)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("rule", RULES, ids=repr)
+def test_delta_monomials_of_every_rule_match_oracle(rule):
+    # Every monomial of degree <= 10: a dead one raises the oracle's
+    # message, a live one steps as the oracle does.
+    dead = 0
+    for p in range(11):
+        for q in range(11 - p):
+            try:
+                want = delta_apply_dict({(p, q): 1}, rule)
+            except InvalidUrnStateError as error:
+                dead += 1
+                with pytest.raises(InvalidUrnStateError) as got:
+                    delta_apply(monomial(1, p, q), rule)
+                assert str(got.value) == str(error)
+            else:
+                assert row_terms(delta_apply(monomial(1, p, q), rule)) == want
+    assert bool(dead) == (rule.a > 1 or rule.b > 1)
+
+
+@pytest.mark.parametrize("rule, row, term", [
+    (RULE_T23, [0, 0, 0, 1, 1, 0], "x^3 y^2"),
+    (RULE_T23, [0, 1, 0, 0, 1, 0], "x^1 y^4"),
+    (Rule(3, 1, 2), [0, 0, 2, 0, 0, 0, 0, 0, 0, 1], "x^2 y^7"),
+    (Rule(1, 3, 2), [0, 0, 0, 0, 3, 4, 0], "x^4 y^2"),
+])
+def test_delta_names_the_lowest_dead_term(rule, row, term):
+    # A row with several dead terms names the one of lowest x exponent,
+    # as the oracle does.
+    with pytest.raises(InvalidUrnStateError) as got:
+        delta_apply(row, rule)
+    with pytest.raises(InvalidUrnStateError) as want:
+        delta_apply_dict(row_terms(row), rule)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"delta on {term} gives")
 
 
 # -- grown tables ------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -264,6 +265,24 @@ def test_domain_errors():
     with pytest.raises(ValueError, match="^expr must be yuleX or yuleY, got 'foo'$"):
         yule_value("foo", Fraction(1), 10)
     assert pi3(0).bits and eval_smh(Fraction(1, 2), 0).bits
+    # The urn's points enter through the same exact converter as eval_smh:
+    # a float or a string is read as its rational, NaN and infinities raise.
+    from dixonian.urn import history_composition_residual, history_egf_partial
+
+    for t in (Fraction(1, 2), 0.5, "1/2"):
+        assert yule_value("yuleX", t, 15).to_string(15) == "0.241102598543608"
+    partial = history_egf_partial(0.5, "1/3", 5)
+    assert type(partial) is Fraction
+    assert partial == history_egf_partial(Fraction(1, 2), Fraction(1, 3), 5)
+    for bad in (math.nan, math.inf, -math.inf):
+        for route in (lambda: yule_value("yuleX", bad, 15),
+                      lambda: yule_value("yuleY", bad, 15),
+                      lambda: history_egf_partial(bad, Fraction(1, 3), 5),
+                      lambda: history_egf_partial(Fraction(1, 2), bad, 5),
+                      lambda: history_composition_residual(bad, Fraction(1, 3), 5),
+                      lambda: history_composition_residual(Fraction(1, 3), bad, 5)):
+            with pytest.raises(ValueError, match="^cannot evaluate at"):
+                route()
 
 
 def test_pole_is_found_by_the_doubling():
@@ -553,9 +572,10 @@ def test_evaluation_never_computes_pi3(run_fresh):
         "from fractions import Fraction as F\n"
         "import dixonian.numerics as n, dixonian.urn as u\n"
         "n.eval_smh(F(1, 2)); n.eval_cmh(F(17, 10)); u.yule_closed_form(1.0)\n"
-        "print(n._pi3_checked); n.pi3(30); print(n._pi3_checked)"
+        "print(n._check_pi3.cache_info().currsize); n.pi3(30)\n"
+        "print(n._check_pi3.cache_info().currsize)"
     )
-    assert run_fresh(code) == ["False", "True"]
+    assert run_fresh(code) == ["0", "1"]
 
 
 def test_pi3_check_passes_at_low_precision(run_fresh):
