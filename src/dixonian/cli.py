@@ -287,10 +287,10 @@ def _verify_andre(k_max: int, inject_fault: bool) -> list[tuple]:
     # one ladder by smh^3 gives smh^m on m = 1 mod 3, the derivative's class.
     order = 3 * k_max + 9
     smh = dixon_egf_table("smh", order)
-    cube = _convolve(_convolve(smh, 1, smh, 1, order), 2, smh, 1, order)
+    cube = _convolve(_convolve(smh, smh, order), smh, order)
     powers = {1: smh}
     for m in range(4, order + 1, 3):
-        powers[m] = _convolve(powers[m - 3], 1, cube, 0, order)
+        powers[m] = _convolve(powers[m - 3], cube, order)
     checks = []
     for k in range(k_max + 1):
         target = order - 3 * k

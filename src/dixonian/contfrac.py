@@ -563,10 +563,10 @@ def valent_ops(max_n: int, route: str = "recurrence") -> list[_Poly]:
         for j in range(max_n + 1):
             base[3 * j], theta[3 * j + 1] = b, t
             b, t = b * (3 * j + 1) ** 2 * (3 * j + 2), t * (3 * j + 1) * (3 * j + 2) ** 2
-        theta3 = _convolve(_convolve(theta, 1, theta, 1, order), 2, theta, 1, order)
+        theta3 = _convolve(_convolve(theta, theta, order), theta, order)
         cols = [base]  # base * theta^(3m), one column per m
         for m in range(max_n):
-            cols.append(_convolve(cols[-1], 0, theta3, 0, order))
+            cols.append(_convolve(cols[-1], theta3, order))
         return [
             [cols[m][3 * n] // math.factorial(3 * m) for m in range(n + 1)]
             for n in range(max_n + 1)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, NamedTuple, Sequence
 
 from dixonian.core import DEFAULT_ORDER, GrowingTable, PowerSeries, series_revert
@@ -136,18 +136,15 @@ def dixon_egf_product(p: int, q: int, n_max: int) -> list[int]:
     if p < 0 or q < 0:
         raise ValueError(f"sm^p cm^q needs p, q >= 0, got p={p}, q={q}")
     sm, cm = dixon_egf_integers(n_max)
-    factors = [(sm, 1)] * p + [(cm, 0)] * q
-    out, r = factors.pop(0) if factors else ((1,) + (0,) * n_max, 0)
-    for f, s in factors:
-        out = _convolve(out, r, f, s, n_max)
-        r = (r + s) % 3
-    return list(out)
+    factors = [sm] * p + [cm] * q or [(1,) + (0,) * n_max]
+    return list(reduce(lambda out, f: _convolve(out, f, n_max), factors))
 
 
-def _convolve(f: Sequence[int], r: int, g: Sequence[int], s: int, n_max: int) -> list[int]:
-    """n! [z^n] of the product of two EGFs for n = 0..n_max, from their
-    integer tables f, nonzero only on n = r mod 3, and g, only on n = s
-    mod 3 (with 0 <= r < 3); the product lives on n = r + s mod 3."""
+def _convolve(f: Sequence[int], g: Sequence[int], n_max: int) -> list[int]:
+    """n! [z^n] of the product of two EGFs for n = 0..n_max from their
+    integer tables f and g, each nonzero only on the class mod 3 of its
+    first nonzero entry; the product lives on the sum of the classes."""
+    r, s = (next((i % 3 for i, c in enumerate(row) if c), 0) for row in (f, g))
     return [
         _binomial_sum(n, r, n + 1, f, g) if (n - r - s) % 3 == 0 else 0
         for n in range(n_max + 1)

@@ -20,13 +20,15 @@ Every argument, the quadrature's endpoints included, enters through one
 exact converter, which refuses NaN and infinities.  Only the quadrature,
 the Abelian integral and the mpf views of a ball (``value`` and
 ``error_bound``) import mpmath, where they run; evaluating sm, cm and pi3
-and printing their digits never load it.
+and printing their digits never load it.  The quadrature sets mpmath's
+process-wide precision only under one lock, so threads keep their bounds.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -49,6 +51,10 @@ __all__ = [
 ]
 
 _LOG10_2 = math.log10(2)
+
+# mpmath's precision is one setting per process; each block of the package
+# that sets it holds this lock, reentrant as the urn's check nests two.
+_MP_LOCK = threading.RLock()
 
 
 def _mpf(man: int, bits: int) -> mpmath.mpf:
@@ -112,6 +118,8 @@ class NumericValue(NamedTuple):
     def to_string(self, places: int) -> str:
         """Fixed-point rendering, truncated toward zero and clamped to the
         justified precision."""
+        if places < 0:
+            raise ValueError(f"places must be nonnegative, got {places}")
         places = min(places, self.decimal_places())
         magnitude = abs(self.mid) * 10**places
         if self.bits >= 0:
@@ -148,7 +156,7 @@ def _decimal(n: int) -> str:
 
 
 def tanh_sinh_quad(f, a: object, b: object, dps: int = 30) -> NumericValue:
-    """Integrate f over [a, b] by tanh-sinh quadrature with step halving.
+    """Integrate f from a to b by tanh-sinh quadrature with step halving.
 
     The substitution x = tanh((pi/2) sinh u) pushes the endpoints to
     infinity, so integrable endpoint singularities cost nothing.  Levels
@@ -162,11 +170,18 @@ def tanh_sinh_quad(f, a: object, b: object, dps: int = 30) -> NumericValue:
     distance ~eps_work from the endpoints, so an algebraic singularity as
     strong as (b - x)^(-2/3) leaves a dropped tail of order eps_work^(1/3),
     which the tripling pushes below the requested accuracy.
+
+    For b < a it returns minus the integral over [b, a].  It sets mpmath's
+    precision under the package's lock, so concurrent calls keep their
+    bounds; outside code that changes mp.prec meanwhile is not covered.
     """
     from mpmath import mp, mpf, mpmathify
 
-    with mp.workdps(3 * dps + 20):
-        A, B = mpmathify(_exact(a)), mpmathify(_exact(b))
+    lo, hi, sign = _exact(a), _exact(b), 1
+    if lo > hi:
+        lo, hi, sign = hi, lo, -1
+    with _MP_LOCK, mp.workdps(3 * dps + 20):
+        A, B = mpmathify(lo), mpmathify(hi)
         c1, c2 = (A + B) / 2, (B - A) / 2
         eps = mpf(10) ** (-(dps + 3))
         stop_eps = mpf(10) ** (-(dps + 8))
@@ -198,24 +213,18 @@ def tanh_sinh_quad(f, a: object, b: object, dps: int = 30) -> NumericValue:
                     return total
                 j += step
 
-        prev = None
-        total = mpf(0)
-        value = mpf(0)
-        diff = mpf("inf")
-        for level in range(2, 14):
+        h = mpf(1) / 4
+        total = add_nodes(h, 0, 1, mpf(0))
+        value, diff = total * h, mpf("inf")
+        for level in range(3, 14):
             h = mpf(1) / 2**level
-            if prev is None:
-                total = add_nodes(h, 0, 1, total)
-            else:
-                total = add_nodes(h, 1, 2, total)
-            value = total * h
-            if prev is not None:
-                diff = abs(value - prev)
-                if diff < eps * (1 + abs(value)):
-                    break
-            prev = value
+            total = add_nodes(h, 1, 2, total)
+            value, prev = total * h, value
+            diff = abs(value - prev)
+            if diff < eps * (1 + abs(value)):
+                break
         bound = diff + mpf(10) ** (-(dps + 2)) * (1 + abs(value))
-        return NumericValue.from_mpf(+value, +bound)
+        return NumericValue.from_mpf(sign * value, +bound)
 
 
 Ball = tuple[int, int]

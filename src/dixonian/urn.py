@@ -15,13 +15,15 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from dixonian.core import GrowingTable, PowerSeries, delta_apply
 from dixonian.numerics import (
     NumericValue,
+    _MP_LOCK,
     _exact,
     _exp_neg,
     _mul,
@@ -60,38 +62,29 @@ DEFAULT_BRUTE_CAP = 9
 _YULE_T_MAX = 2.0  # yule_rk4 integrates over [0, _YULE_T_MAX]
 
 
-class UrnRule:
+class UrnRule(NamedTuple("UrnRule", [("a", int), ("b", int), ("s", int)])):
     """Replacement matrix of a balanced two-colour urn, in (a, b, s) form.
 
     Drawing an x ball removes a of them and adds s + a y balls; drawing a
     y ball removes b of them and adds s + b x balls.  Both rows of
     :attr:`matrix` sum to s, so every history of n draws ends with the
-    same total of p + q + n s balls.
+    same total of p + q + n s balls.  A rule is the tuple (a, b, s), so
+    M12 == (1, 1, 1), and every way of making one checks it.
     """
 
-    __slots__ = ("a", "b", "s")
+    __slots__ = ()
 
-    def __init__(self, a: int, b: int, s: int) -> None:
+    def __new__(cls, a: int, b: int, s: int) -> "UrnRule":
         if min(a, b) < 1:
             raise ValueError("each drawn colour must lose at least one ball")
         if s < 1:
             raise ValueError("only strictly growing balanced urns are modelled")
-        for name, value in (("a", a), ("b", b), ("s", s)):
-            object.__setattr__(self, name, value)
+        return super().__new__(cls, a, b, s)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("an UrnRule is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UrnRule):
-            return NotImplemented
-        return (self.a, self.b, self.s) == (other.a, other.b, other.s)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.s))
-
-    def __repr__(self) -> str:
-        return f"UrnRule(a={self.a}, b={self.b}, s={self.s})"
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "UrnRule":
+        # The tuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
     @property
     def matrix(self) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -400,7 +393,7 @@ def history_composition_residual(
     Delta = (1 - x0^3)^(1/3) and I the inverse of smh (the incomplete
     integral of (1 + w^3)^(-2/3)): the first integral X^3 - Y^3 of the
     associated ODE system pins Delta, and the shift places the initial
-    condition X(0) = x0.
+    condition X(0) = x0.  mpmath's precision is set under the numerics lock.
     """
     from mpmath import mp, mpf, mpmathify
 
@@ -408,7 +401,7 @@ def history_composition_residual(
     if not 0 <= x0f < 1:
         raise ValueError("x0 must sit in [0, 1) for the real closed form")
     lhs = history_egf_partial(x0f, zf, n_max)
-    with mp.workdps(dps + 10):
+    with _MP_LOCK, mp.workdps(dps + 10):
         delta = mpmathify(1 - x0f**3) ** (mpf(1) / 3)
         shift = abelian_I(mpmathify(x0f) / delta, dps=dps)
         closed = eval_smh(delta * mpmathify(zf) + shift.value, digits=dps)

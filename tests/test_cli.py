@@ -493,6 +493,11 @@ def test_environment_overrides(capsys, monkeypatch):
     assert out.splitlines()[-1] == "4, -4/4!, -4"
     monkeypatch.setenv("DIXONIAN_ORDER", "nine")
     assert run(capsys, "series", "sm")[0] == 2
+    monkeypatch.setenv("DIXONIAN_ORDER", "5")
+    monkeypatch.setenv("DIXONIAN_FORMAT", "xml")
+    code, out, err = run(capsys, "series", "sm")
+    assert (code, out) == (2, "")
+    assert err.strip() == "usage error: format must be one of text, json, csv"
 
 
 def test_output_file_matches_stdout(capsys, tmp_path):
@@ -505,6 +510,12 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     assert code == 0
     assert piped == ""
     assert target.read_text(encoding="utf-8") == out
+    missing = tmp_path / "absent" / "table.txt"
+    code, piped, err = run(
+        capsys, "series", "sm", "--order", "7", "--output", str(missing)
+    )
+    assert (code, piped) == (1, "")
+    assert err.startswith("error: ") and not missing.parent.exists()
 
 
 def test_output_is_deterministic(capsys):

@@ -143,9 +143,25 @@ def test_P_is_minus_u_at_minus_z():
     # -u(-z) with u = sm cm by the convolution of sm and cm.
     n_max = 300
     smh, cmh = dixon_egf_table("smh", n_max), dixon_egf_table("cmh", n_max)
-    product = _convolve(smh, 1, cmh, 0, n_max)
+    product = _convolve(smh, cmh, n_max)
     u = dixon_egf_product(1, 1, n_max)
     assert dixon_egf_table("P", n_max) == product == [-((-1) ** n) * c for n, c in enumerate(u)]
+
+
+def _class_row(r, n_max):
+    # A row on n = r mod 3 alone, or all zeros for r = None.
+    return [(-1) ** n * (n + 2) if n % 3 == r else 0 for n in range(n_max + 1)]
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, None])
+@pytest.mark.parametrize("s", [0, 1, 2, None])
+def test_convolve_reads_each_rows_class(r, s):
+    # _convolve finds each row's residue class itself; the oracle is the
+    # plain binomial convolution over every index.
+    n_max = 20
+    f, g = _class_row(r, n_max), _class_row(s, n_max)
+    plain = [sum(math.comb(n, k) * f[k] * g[n - k] for k in range(n + 1)) for n in range(n_max + 1)]
+    assert _convolve(f, g, n_max) == plain
 
 
 @pytest.mark.parametrize("p, q", [(-1, 0), (0, -1), (-2, 3)])

@@ -40,6 +40,13 @@ def test_tanh_sinh_polynomial():
     assert q.error_bound < mpf("1e-25")
 
 
+@pytest.mark.parametrize("a, b, want", [(1, 0, -1), (2, 1, -1), (0, 1, 1), (1, 1, 0), ("1/3", "1/3", 0)])
+def test_tanh_sinh_orientation(a, b, want):
+    # The integral from a to b is minus the one from b to a.
+    q = tanh_sinh_quad(lambda t: 1, a, b, dps=15)
+    assert abs(q.value - want) <= q.error_bound < mpf("1e-15")
+
+
 def test_tanh_sinh_endpoint_singularity():
     q = tanh_sinh_quad(lambda t: 1 / mpmath.sqrt(t), 0, 1, dps=30)
     with mp.workdps(45):
@@ -305,6 +312,8 @@ def test_numeric_value_clamps_rendering():
     assert exact.to_string(2) == "3.00"
     # Past the 4300 digits Python will turn into a string in one piece.
     assert NumericValue.from_mpf(mpf(-1.25), mpf(0)).to_string(6000) == "-1.25" + "0" * 5998
+    with pytest.raises(ValueError, match="places must be nonnegative, got -1"):
+        v.to_string(-1)
 
 
 def test_mpf_views_are_the_exact_ball():
@@ -563,6 +572,44 @@ def test_pi3_check_holds_under_threads(run_fresh):
     # A corrupted closed form must be caught by every thread that asks for
     # pi3 while the one-time check is still running.
     assert run_fresh(_PI3_THREADS) == ["raised"] * 4
+
+
+_QUAD_THREADS = """
+import sys
+import threading
+from fractions import Fraction
+from dixonian.numerics import tanh_sinh_quad
+sys.setswitchinterval(1e-5)
+done = threading.Event()
+def low():
+    while not done.is_set():
+        tanh_sinh_quad(lambda t: t * t, 0, 1, dps=5)
+outcomes = []
+def high():
+    try:
+        for _ in range(4):
+            q = tanh_sinh_quad(lambda t: t * t, 0, 1, dps=40)
+            third = Fraction(2) ** q.bits / 3
+            outcomes.append("held" if abs(q.mid - third) <= q.rad else "missed")
+    except ValueError:
+        outcomes.append("raised")
+    finally:
+        done.set()
+threads = [threading.Thread(target=task) for task in (low, low, high)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+    assert not t.is_alive()
+print(" ".join(outcomes))
+"""
+
+
+def test_quadrature_bounds_hold_under_threads(run_fresh):
+    # mpmath's precision is one setting per process: 5-digit quadratures
+    # looping in two threads must not cut a 40-digit one in a third below
+    # its bound.  Unguarded, the 40-digit calls miss or crawl for seconds.
+    assert run_fresh(_QUAD_THREADS, timeout=20) == ["held"] * 4
 
 
 def test_evaluation_never_computes_pi3(run_fresh):

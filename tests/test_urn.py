@@ -56,6 +56,20 @@ def test_rule_shapes_and_validation():
     assert M12 == UrnRule(1, 1, 1) != T23 and hash(M12) == hash(UrnRule(1, 1, 1))
 
 
+def test_rule_is_a_checked_tuple():
+    # A rule is its triple (a, b, s), and every way of making one checks it.
+    assert M12 == (1, 1, 1) and tuple(T23) == (2, 3, 1)
+    assert repr(T23) == "UrnRule(a=2, b=3, s=1)"
+    assert T23._replace(b=1) == UrnRule(2, 1, 1) and type(T23._replace(b=1)) is UrnRule
+    for make, message in (
+        (lambda: M12._replace(a=0), "lose at least one ball"),
+        (lambda: UrnRule._make((0, 1, 1)), "lose at least one ball"),
+        (lambda: M12._replace(s=0), "strictly growing"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
 def test_operator_iterates_from_one_ball():
     # row j of delta^n[x] is the coefficient of x^j y^(n + 1 - j)
     polys = history_polynomials(M12, 1, 0, 4)
