@@ -6,8 +6,14 @@ whose coefficients are explicit polynomial products of consecutive
 integers.  This module builds the generating functions exactly, reads
 J-fraction coefficients off their moments by the Chebyshev algorithm
 (S-fractions through the contraction), expands fractions back as
-weighted Motzkin path sums, carries the closed-form tables, and folds
+weighted Motzkin path sums, states the closed-form tables, and folds
 convergents into exact rational functions by one Wallis recurrence.
+
+The nine closed-form tables come from one rule and six offsets: each
+family cuts the doubled integers 1, 1, 2, 2, 3, 3, ... into triples from
+its own offset, its J-fraction is the contraction of the triple
+products, and the three families whose first triple holds a 0 have
+those products as their S-fraction.
 
 Conventions, fixed once and used everywhere:
 
@@ -19,15 +25,15 @@ Conventions, fixed once and used everywhere:
 
       F(w) = 1 / (1 + d1 w / (1 + d2 w / (1 + ...)))
 
-The closed-form tables list positive b(n) with c(n) = -b(n); the a(n) are
-taken as printed.  Extraction from the actual series confirms the signs.
+The closed-form tables give positive b(n) with c(n) = -b(n), and positive
+a(n) and d(k).  Extraction from the actual series confirms the signs.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from dixonian.core import DEFAULT_ORDER, PowerSeries
 from dixonian.functions import _convolve, dixon_egf_product, dixon_egf_table
@@ -56,9 +62,6 @@ __all__ = [
     "meixner_denominator",
     "valent_ops",
     "scd_transforms",
-    "doubled_sequence",
-    "J_WINDOW_OFFSET",
-    "S_TRIPLE_OFFSET",
 ]
 
 
@@ -76,68 +79,23 @@ class SFraction(NamedTuple):
 
 # -- closed-form coefficient tables -----------------------------------
 
-# J-families: name -> (a(n) for n >= 1, b(n) for n >= 0), with the
-# fraction coefficient c(n) = -b(n).
-J_FAMILIES: dict[str, tuple[Callable[[int], int], Callable[[int], int]]] = {
-    "sm": (
-        lambda n: (3 * n - 2) * (3 * n - 1) ** 2 * (3 * n) ** 2 * (3 * n + 1),
-        lambda n: 2 * (3 * n + 1) * ((3 * n + 1) ** 2 + 1),
-    ),
-    "sm2": (
-        lambda n: (3 * n - 1) * (3 * n) ** 2 * (3 * n + 1) ** 2 * (3 * n + 2),
-        lambda n: 2 * (3 * n + 2) * ((3 * n + 2) ** 2 + 1),
-    ),
-    "sm3": (
-        lambda n: (3 * n) * (3 * n + 1) ** 2 * (3 * n + 2) ** 2 * (3 * n + 3),
-        lambda n: 2 * (3 * n + 3) * ((3 * n + 3) ** 2 + 1),
-    ),
-    "cm": (
-        lambda n: (3 * n - 2) ** 2 * (3 * n - 1) ** 2 * (3 * n) ** 2,
-        lambda n: (3 * n - 1) * (3 * n) ** 2 + (3 * n + 1) ** 2 * (3 * n + 2),
-    ),
-    "smcm": (
-        lambda n: (3 * n - 1) ** 2 * (3 * n) ** 2 * (3 * n + 1) ** 2,
-        lambda n: (3 * n) * (3 * n + 1) ** 2 + (3 * n + 2) ** 2 * (3 * n + 3),
-    ),
-    "sm2cm": (
-        lambda n: (3 * n) ** 2 * (3 * n + 1) ** 2 * (3 * n + 2) ** 2,
-        lambda n: (3 * n + 1) * (3 * n + 2) ** 2 + (3 * n + 3) ** 2 * (3 * n + 4),
-    ),
-}
-
-# S-families: name -> d(k) for k >= 1, split by parity of k.
-def _s_sm(k: int) -> int:
-    r = (k + 1) // 2
-    if k % 2:
-        return (3 * r - 2) * (3 * r - 1) ** 2
-    return (3 * r) ** 2 * (3 * r + 1)
+# Entry i of the doubled integers is i // 2 + 1.  The family at offset o
+# has d(k) = e(o + 3k - 3) e(o + 3k - 2) e(o + 3k - 1), a triple reaching
+# below entry 0 holding a 0, and a(n) = d(2n - 1) d(2n), b(n) = d(2n) +
+# d(2n + 1), c(n) = -b(n); offsets below 3 give d(0) = 0 and the S-fraction
+# d(1), d(2), ...  For a fixed offset the parities of the entries do not
+# depend on n, so each table is a polynomial in n of degree at most 6 (for
+# S, one per parity of k): agreeing with the printed formulas at n = 0..30,
+# as the tests check, proves the rule.
+J_FAMILIES = {"sm": 1, "sm2": 3, "sm3": 5, "cm": 0, "smcm": 2, "sm2cm": 4}
+S_FAMILIES = {"sm": 1, "cm": 0, "smcm": 2}
 
 
-def _s_cm(k: int) -> int:
-    r = (k + 1) // 2
-    if k % 2:
-        return (3 * r - 2) ** 2 * (3 * r - 1)
-    return (3 * r - 1) * (3 * r) ** 2
-
-
-def _s_smcm(k: int) -> int:
-    r = (k + 1) // 2
-    if k % 2:
-        return (3 * r - 1) ** 2 * (3 * r)
-    return (3 * r) * (3 * r + 1) ** 2
-
-
-S_FAMILIES: dict[str, Callable[[int], int]] = {"sm": _s_sm, "cm": _s_cm, "smcm": _s_smcm}
-
-# The doubled integers 1,1,2,2,3,3,... tile every coefficient table: each
-# J-fraction a(n) is a six-element window at these offsets (stride 6), and
-# each S-fraction d(k) is a three-element window after the same discard.
-J_WINDOW_OFFSET = {"sm": 1, "sm2": 3, "sm3": 5, "cm": 0, "smcm": 2, "sm2cm": 4}
-S_TRIPLE_OFFSET = {"sm": 1, "cm": 0, "smcm": 2}
-
-
-def doubled_sequence(length: int) -> list[int]:
-    return [k // 2 + 1 for k in range(length)]
+def _triples(offset: int, count: int) -> list[int]:
+    """d(0), ..., d(count - 1) for the family at ``offset``.  Below entry
+    0, i // 2 + 1 reads 0 at i = -1, so such a triple holds a 0."""
+    e = [i // 2 + 1 for i in range(offset - 3, offset + 3 * count - 3)]
+    return [e[j] * e[j + 1] * e[j + 2] for j in range(0, 3 * count, 3)]
 
 
 # -- series construction ----------------------------------------------
@@ -326,34 +284,33 @@ def sfraction_to_series(ds: Sequence[Fraction | int], order: int) -> PowerSeries
 
 
 def contract_s_to_j(ds: Sequence[Fraction | int]) -> tuple[_Poly, _Poly]:
-    """Even-odd contraction of an S-fraction into its J-fraction.
+    """Even-odd contraction of an S-fraction into its J-fraction:
+    :func:`_contract` of d1, d2, ... behind d(0) = 0, so c0 = -d1."""
+    return _contract([0, *ds])
 
-    c0 = -d1, c(n) = -(d(2n) + d(2n+1)), a(n) = d(2n-1) d(2n).
-    """
-    d = list(ds)
-    if not d:
-        return [], []
-    cs = [-d[0]]
-    as_: _Poly = []
-    n = 1
-    while 2 * n <= len(d):
-        as_.append(d[2 * n - 2] * d[2 * n - 1])
-        if 2 * n + 1 <= len(d):
-            cs.append(-(d[2 * n - 1] + d[2 * n]))
-        n += 1
+
+def _contract(d: Sequence[Fraction | int]) -> tuple[_Poly, _Poly]:
+    """c(n) = -(d(2n) + d(2n+1)) and a(n) = d(2n-1) d(2n) from d[k] = d(k),
+    as far as d reaches."""
+    cs = [-(d[2 * n] + d[2 * n + 1]) for n in range(len(d) // 2)]
+    as_ = [d[2 * n - 1] * d[2 * n] for n in range(1, (len(d) + 1) // 2)]
     return cs, as_
 
 
 def conrad_j_reference(family: str, max_n: int) -> JFraction:
-    a_fn, b_fn = J_FAMILIES[family]
-    cs = tuple(-b_fn(n) for n in range(max_n + 1))
-    as_ = tuple(a_fn(n) for n in range(1, max_n + 1))
-    return JFraction(cs=cs, as_=as_)
+    """c(0..max_n) and a(1..max_n) of the family's J-fraction: the
+    contraction of its triples."""
+    if max_n < 0:
+        raise ValueError(f"table sizes start at 0, got {max_n}")
+    cs, as_ = _contract(_triples(J_FAMILIES[family], 2 * max_n + 2))
+    return JFraction(cs=tuple(cs), as_=tuple(as_))
 
 
 def conrad_s_reference(family: str, max_k: int) -> SFraction:
-    d_fn = S_FAMILIES[family]
-    return SFraction(ds=tuple(d_fn(k) for k in range(1, max_k + 1)))
+    """d(1..max_k) of the family's S-fraction: its triples after d(0) = 0."""
+    if max_k < 0:
+        raise ValueError(f"table sizes start at 0, got {max_k}")
+    return SFraction(ds=tuple(_triples(S_FAMILIES[family], max_k + 1)[1:]))
 
 
 class VerifyReport(NamedTuple):
@@ -584,6 +541,8 @@ def scd_transforms(max_n: int, order: int = DEFAULT_ORDER) -> dict[str, list[Pow
     recurrences that link the three ladders are the subject of the tests,
     not inputs to this construction.
     """
+    if max_n < 0:
+        raise ValueError(f"table sizes start at 0, got {max_n}")
     return {
         name: [
             PowerSeries([0, *dixon_egf_product(n, q, order - 1)], order)

@@ -226,6 +226,8 @@ def _revert_on_cubes(b: Fraction, scale: int, order: int) -> PowerSeries:
     The 2F1 coefficient of x^k is laid out on the exponent 3k + 1, times
     scale^k; the slot past the order, if any, is cut by the truncation.
     """
+    if order == 0:  # the inverse is z + ..., all past order 0
+        return PowerSeries([0], 0)
     F = hyp2f1_series(Fraction(1, 3), b, Fraction(4, 3), order // 3)
     coeffs = [Fraction(0)] * (order + 2)
     coeffs[1::3] = [ck * scale**k for k, ck in enumerate(F.coeffs)]

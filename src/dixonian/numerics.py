@@ -177,6 +177,8 @@ def tanh_sinh_quad(f, a: object, b: object, dps: int = 30) -> NumericValue:
     """
     from mpmath import mp, mpf, mpmathify
 
+    if dps < 0:
+        raise ValueError(f"digits must be nonnegative, got {dps}")
     lo, hi, sign = _exact(a), _exact(b), 1
     if lo > hi:
         lo, hi, sign = hi, lo, -1

@@ -404,7 +404,7 @@ def fv_encode(
             steps.append((DOUBLE_RISE, idx))
     if open_right:
         assert intervals == [[n + 1, n + 1]]
-    else:
+    elif n:  # the empty permutation leaves the empty run [1, 0]
         assert intervals == [[pos[n], pos[n]]]
     return steps
 
@@ -415,7 +415,8 @@ def fv_decode(
     """Inverse of :func:`fv_encode`: rebuild the permutation from its
     history.  Slots are symbolic holes whose extents emerge as later
     values land in them; an ill-formed history raises ValueError."""
-    expected = n if open_right else n - 1
+    forced = n > 0 and not open_right  # the closed border forces the last value
+    expected = n - 1 if forced else n
     if len(steps) != expected:
         raise ValueError(f"a history of {n} needs {expected} steps")
     first = _Hole()
@@ -447,10 +448,10 @@ def fv_decode(
     if len(holes) != 1:
         raise ValueError("the history does not return to altitude zero")
     at = layout.index(holes[0])
-    if open_right:
-        del layout[at]
-    else:
+    if forced:
         layout[at] = n
+    else:
+        del layout[at]
     return tuple(layout)  # type: ignore[arg-type]
 
 

@@ -107,6 +107,7 @@ PASS_CASES = [
     ("verify", "valent", "--max-n", "3"),
     ("verify", "width", "--max-n", "4"),
     ("verify", "andre", "--max-n", "3"),
+    ("verify", "r-repeated", "--max-n", "1"),  # no n for r = 2 open or r = 3 open
 ]
 
 FAULT_CASES = [

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dixonian import contfrac
 from dixonian.contfrac import (
     J_FAMILIES,
-    J_WINDOW_OFFSET,
     S_FAMILIES,
-    S_TRIPLE_OFFSET,
     JFraction,
     RationalFunction,
     SFraction,
@@ -20,7 +19,6 @@ from dixonian.contfrac import (
     conrad_s_reference,
     convergent_j,
     convergent_s,
-    doubled_sequence,
     family_ogf,
     jfraction_extract,
     jfraction_to_series,
@@ -181,6 +179,9 @@ def test_geometric_series_terminates():
     alternating = PowerSeries([(-1) ** n for n in range(9)], 8)
     assert sfraction_extract(alternating, 8) == SFraction(ds=(1,))
     assert peel_sfraction(alternating, 8) == SFraction(ds=(1,))
+    # a fraction that ends at d3 = 0, after a nonzero a(1)
+    two = sfraction_to_series([3, -2], 8)
+    assert sfraction_extract(two, 8) == peel_sfraction(two, 8) == SFraction(ds=(3, -2))
 
 
 def test_extraction_rejects_bad_series():
@@ -372,26 +373,87 @@ def test_family_prefactor_indexing(family, p, q):
 
 
 # -- doubled-integer structure ------------------------------------------
+# The library cuts every table from triples of the doubled integers
+# 1, 1, 2, 2, 3, 3, ...; the paper prints them as sextic numerators and
+# cubic denominators, kept here as the oracle.  Each printed table is a
+# polynomial of degree at most 6 in n (for S, one per parity of k), as is
+# the rule's, so agreement at n = 0..30 proves the rule at every n.
+
+# name -> (a(n) for n >= 1, b(n) for n >= 0), with c(n) = -b(n)
+PRINTED_J = {
+    "sm": (
+        lambda n: (3 * n - 2) * (3 * n - 1) ** 2 * (3 * n) ** 2 * (3 * n + 1),
+        lambda n: 2 * (3 * n + 1) * ((3 * n + 1) ** 2 + 1),
+    ),
+    "sm2": (
+        lambda n: (3 * n - 1) * (3 * n) ** 2 * (3 * n + 1) ** 2 * (3 * n + 2),
+        lambda n: 2 * (3 * n + 2) * ((3 * n + 2) ** 2 + 1),
+    ),
+    "sm3": (
+        lambda n: (3 * n) * (3 * n + 1) ** 2 * (3 * n + 2) ** 2 * (3 * n + 3),
+        lambda n: 2 * (3 * n + 3) * ((3 * n + 3) ** 2 + 1),
+    ),
+    "cm": (
+        lambda n: (3 * n - 2) ** 2 * (3 * n - 1) ** 2 * (3 * n) ** 2,
+        lambda n: (3 * n - 1) * (3 * n) ** 2 + (3 * n + 1) ** 2 * (3 * n + 2),
+    ),
+    "smcm": (
+        lambda n: (3 * n - 1) ** 2 * (3 * n) ** 2 * (3 * n + 1) ** 2,
+        lambda n: (3 * n) * (3 * n + 1) ** 2 + (3 * n + 2) ** 2 * (3 * n + 3),
+    ),
+    "sm2cm": (
+        lambda n: (3 * n) ** 2 * (3 * n + 1) ** 2 * (3 * n + 2) ** 2,
+        lambda n: (3 * n + 1) * (3 * n + 2) ** 2 + (3 * n + 3) ** 2 * (3 * n + 4),
+    ),
+}
+
+# name -> (d(2r - 1), d(2r)) for r >= 1
+PRINTED_S = {
+    "sm": (lambda r: (3 * r - 2) * (3 * r - 1) ** 2, lambda r: (3 * r) ** 2 * (3 * r + 1)),
+    "cm": (lambda r: (3 * r - 2) ** 2 * (3 * r - 1), lambda r: (3 * r - 1) * (3 * r) ** 2),
+    "smcm": (lambda r: (3 * r - 1) ** 2 * (3 * r), lambda r: (3 * r) * (3 * r + 1) ** 2),
+}
 
 
 @pytest.mark.parametrize("family", sorted(J_FAMILIES))
 def test_j_coefficients_tile_doubled_integers(family):
-    a_fn, _ = J_FAMILIES[family]
-    off = J_WINDOW_OFFSET[family]
-    d = doubled_sequence(off + 6 * 8 + 6)
-    for n in range(1, 9):
-        window = d[off + 6 * (n - 1) : off + 6 * n]
-        assert math.prod(window) == a_fn(n)
+    a_fn, b_fn = PRINTED_J[family]
+    ref = conrad_j_reference(family, 30)
+    assert list(ref.cs) == [-b_fn(n) for n in range(31)]
+    assert list(ref.as_) == [a_fn(n) for n in range(1, 31)]
 
 
 @pytest.mark.parametrize("family", sorted(S_FAMILIES))
 def test_s_coefficients_tile_doubled_integers(family):
-    d_fn = S_FAMILIES[family]
-    off = S_TRIPLE_OFFSET[family]
-    d = doubled_sequence(off + 3 * 16 + 3)
-    for k in range(1, 17):
-        window = d[off + 3 * (k - 1) : off + 3 * k]
-        assert math.prod(window) == d_fn(k)
+    odd, even = PRINTED_S[family]
+    ds = conrad_s_reference(family, 60).ds
+    assert ds[0::2] == tuple(odd(r) for r in range(1, 31))
+    assert ds[1::2] == tuple(even(r) for r in range(1, 31))
+    # the S-families are the J-families whose offset leaves d(0) = 0
+    assert S_FAMILIES == {f: o for f, o in J_FAMILIES.items() if o < 3}
+
+
+def test_extraction_and_gf_routes_read_no_rule(monkeypatch):
+    # verify compares the extracted coefficients and the gf route of the
+    # Valent polynomials against the triple rule, so none of them may read it.
+    def run():
+        out = []
+        for family in J_FAMILIES:
+            series = family_ogf(family, 24)
+            out += [series, jfraction_extract(series, 12)]
+        for family in S_FAMILIES:
+            out.append(sfraction_extract(family_ogf(family, 24), 24))
+        return out, valent_ops(12, route="gf")
+
+    want = run()
+
+    def refuse(*_):
+        raise AssertionError("the triple rule was read")
+
+    monkeypatch.setattr(contfrac, "_triples", refuse)
+    assert run() == want
+    with pytest.raises(AssertionError, match="triple rule"):
+        conrad_j_reference("sm", 1)
 
 
 # -- round-trip properties -----------------------------------------------
@@ -616,6 +678,8 @@ def test_valent_gf_route_agrees():
     for route in ("recurrence", "gf"):
         with pytest.raises(ValueError, match="max_n >= 0, got -1"):
             valent_ops(-1, route=route)
+    with pytest.raises(ValueError, match="^unknown route 'x'$"):
+        valent_ops(3, route="x")
 
 
 # -- transfer ladder S/C/D ------------------------------------------------

@@ -59,6 +59,19 @@ def test_order_and_padding():
     assert f.coeffs == (1, 2, 0, 0, 0, 0)
     with pytest.raises(IndexError):
         f.coefficient(6)
+    with pytest.raises(IndexError, match="^negative exponent$"):
+        f.coefficient(-1)
+    with pytest.raises(ValueError, match="^cannot extend a series past"):
+        f.truncate(6)
+    with pytest.raises(ValueError, match="^order must be >= 0$"):
+        PowerSeries([1], order=-1)
+    with pytest.raises(ValueError, match="^monomial power exceeds requested order$"):
+        PowerSeries.monomial(1, 5, 3)
+    # floats are never taken for exact rationals; strings are
+    with pytest.raises(TypeError, match="^not an exact rational: 0.5$"):
+        PowerSeries([0.5])
+    assert PowerSeries(["1/2"]).coeffs == (Fraction(1, 2),)
+    assert PowerSeries([]) == PowerSeries.zero(0)
 
 
 def test_repr_prints_rationals_as_str():
@@ -69,6 +82,13 @@ def test_geometric_product():
     one_minus = PowerSeries([1, -1], 6)
     geom = PowerSeries([1] * 7, 6)
     assert series_mul(one_minus, geom) == PowerSeries.one(6)
+    # scalars on either side of a difference, and the series as a key
+    assert 1 - one_minus == -(one_minus - 1) == PowerSeries.identity(6)
+    assert {geom: 1}[PowerSeries([1] * 7, 6)] == 1
+    assert geom.valuation() == 0 and PowerSeries.identity(6).valuation() == 1
+    assert PowerSeries.zero(6).valuation() is None
+    with pytest.raises(ValueError, match="^integer power >= 0 only"):
+        geom ** -1
 
 
 def test_mul_truncates_to_min_order():
@@ -92,6 +112,7 @@ def test_integrate_derive_orders():
     assert series_integrate(f).order == 5
     assert series_derive(f).order == 3
     assert series_derive(series_integrate(f)) == f
+    assert series_derive(PowerSeries.one(0)) == PowerSeries.zero(0)
 
 
 def test_revert_moebius():
@@ -163,6 +184,8 @@ def test_binomial_pow_cube_root():
     assert h.coefficient(3) == Fraction(1, 3)
     assert h.coefficient(6) == Fraction(2, 9)
     assert h.coefficient(1) == 0 and h.coefficient(2) == 0
+    with pytest.raises(ValueError, match=r"^series_binomial_pow requires f\(0\) = 1$"):
+        series_binomial_pow(PowerSeries([2, 1], 3), Fraction(1, 2))
 
 
 def test_integer_pow_matches_repeated_mul():
@@ -484,7 +507,7 @@ def test_growing_table_keeps_its_entries_when_a_step_raises():
 def test_every_table_reader_refuses_negative_sizes_after_growth():
     """Readers slice prefixes off shared tables, so a negative size must
     raise however far the tables have grown, not read a slice like [: -2]."""
-    from dixonian import functions, urn
+    from dixonian import contfrac, functions, urn
     from dixonian.permutations import andre_polynomials, parity_class_counts_dp
 
     functions.dixon_egf_integers(50)
@@ -504,6 +527,9 @@ def test_every_table_reader_refuses_negative_sizes_after_growth():
         lambda n: urn.history_egf_partial(half, half, n),
         parity_class_counts_dp,
         andre_polynomials,
+        lambda n: contfrac.conrad_j_reference("cm", n),
+        lambda n: contfrac.conrad_s_reference("sm", n),
+        lambda n: contfrac.scd_transforms(n, 10),
     ]
     names = [*functions._EGF_PRODUCTS, *functions._HYPERBOLIC]
     readers += [lambda n, name=name: functions.dixon_egf_table(name, n) for name in names]

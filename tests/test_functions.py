@@ -279,6 +279,13 @@ def test_weierstrass_hypergeometric_route():
     assert weierstrass_P_via_hypergeometric(90) == weierstrass_P(90)
 
 
+@pytest.mark.parametrize("order", range(6))
+def test_hypergeometric_routes_match_tables_at_low_orders(order):
+    # At order 0 both reversions are the zero series, as the tables give.
+    assert sm_via_hypergeometric(order) == dixon_series(order).sm
+    assert weierstrass_P_via_hypergeometric(order) == weierstrass_P(order)
+
+
 def test_dumont_ratio():
     for order in (0, 1, 2):
         with pytest.raises(ValueError, match=f"^the Dumont ratio needs order >= 3, got {order}$"):

@@ -90,6 +90,11 @@ def test_abelian_integral_against_library_quadrature():
     assert abelian_I(0).value == 0
     with pytest.raises(ValueError):
         abelian_I(-1)
+    # every point enters through _exact, in this process too
+    with pytest.raises(ValueError, match="^cannot evaluate at nan$"):
+        numerics._exact(mpf("nan"))
+    with pytest.raises(TypeError, match="^cannot interpret <object"):
+        numerics._exact(object())
 
 
 _NOT_FINITE = """
@@ -265,7 +270,8 @@ def test_domain_errors():
 
     negative = [lambda: eval_smh(Fraction(1, 2), -4), lambda: eval_cm(0, -1),
                 lambda: pi3(-30), lambda: pi3(-10), lambda: zeta0(-1),
-                lambda: yule_value("yuleX", Fraction(1), -1)]
+                lambda: yule_value("yuleX", Fraction(1), -1), lambda: abelian_I(1, dps=-5),
+                lambda: tanh_sinh_quad(lambda t: t * t, 0, 1, dps=-5)]
     for route in negative:
         with pytest.raises(ValueError, match="^digits must be nonnegative"):
             route()
@@ -310,6 +316,8 @@ def test_numeric_value_clamps_rendering():
     assert v.to_string(5) == "1.23"
     exact = NumericValue.from_mpf(mpf(3), mpf(0))
     assert exact.to_string(2) == "3.00"
+    # a ball at a coarse scale: 3 * 2^2 with no error
+    assert NumericValue(3, 0, -2).to_string(0) == "12"
     # Past the 4300 digits Python will turn into a string in one piece.
     assert NumericValue.from_mpf(mpf(-1.25), mpf(0)).to_string(6000) == "-1.25" + "0" * 5998
     with pytest.raises(ValueError, match="places must be nonnegative, got -1"):

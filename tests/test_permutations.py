@@ -352,6 +352,9 @@ def test_y_shape_counts_match_closed_form():
     assert counts == [1, 1, 4, 22, 140]
     for nu, c in enumerate(counts):
         assert c == math.comb(4 * nu, nu) // (3 * nu + 1)
+    assert y_shape_counts(0) == [1]
+    with pytest.raises(ValueError, match="^negative sizes make no sense$"):
+        y_shape_counts(-1)
 
 
 def test_shapes_of_small_y_members():
@@ -374,8 +377,9 @@ def test_history_letters_follow_codes(n, open_right):
 
 
 @pytest.mark.parametrize("open_right", [False, True])
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(0, 7))
 def test_history_roundtrip_exhaustive(n, open_right):
+    # n = 0: the empty permutation, which permutation_path_total counts
     for perm in perms(n):
         steps = fv_encode(perm, open_right)
         assert fv_decode(steps, n, open_right) == perm
@@ -505,6 +509,9 @@ def test_every_permutation_is_one_repeated():
         [1, 3, 5, 7],
         [1, 4, 9],
     )
+    for r, depth in ((0, 3), (1, 0)):
+        with pytest.raises(ValueError, match="^need a positive block width and depth$"):
+            repeated_jfraction_tables(r, depth)
     closed = repeated_series(1, 5)
     opened = repeated_series(1, 5, open_right=True)
     for nu in range(5):
@@ -544,8 +551,9 @@ def test_three_repeated_counts_match_fraction():
 def test_three_repeated_members_are_monotone_at_four():
     members = [p for p in perms(4) if is_r_repeated(p, 3)]
     assert members == [(1, 2, 3, 4), (4, 3, 2, 1)]
-    with pytest.raises(ValueError):
-        is_r_repeated((1, 2), 0)
+    for route in (lambda: is_r_repeated((1, 2), 0), lambda: repeated_count_brute(3, 0)):
+        with pytest.raises(ValueError, match="^the block width is at least one$"):
+            route()
 
 
 def test_thirteen_value_example():

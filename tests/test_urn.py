@@ -51,6 +51,8 @@ def test_rule_shapes_and_validation():
         UrnRule.from_matrix(((-1, 2), (3, -1)))
     with pytest.raises(ValueError):
         UrnRule.from_matrix(((1, 0), (2, -1)))
+    with pytest.raises(ValueError, match="^off-diagonal additions cannot be negative$"):
+        UrnRule.from_matrix(((-1, -1), (-1, -1)))
     with pytest.raises(AttributeError):
         M12.a = 2
     assert M12 == UrnRule(1, 1, 1) != T23 and hash(M12) == hash(UrnRule(1, 1, 1))
@@ -209,6 +211,8 @@ def test_brute_cap_respects_environment(monkeypatch):
         enumerate_histories(4)
     with pytest.raises(ValueError):
         enumerate_histories(-1)
+    with pytest.raises(ValueError, match="^the starting word must be nonempty"):
+        enumerate_histories(2, "")
     check_brute("n =", 3)
     for n in (-1, 4):
         with pytest.raises(ValueError):
@@ -351,6 +355,9 @@ def test_rk4_matches_drift_function_oracle():
 def test_rk4_rejects_off_grid_checkpoints():
     with pytest.raises(ValueError):
         yule_rk4(1000, (0.33333,))
+    with pytest.raises(ValueError, match="^steps must be positive$"):
+        yule_rk4(0, (0.5,))
+    assert yule_rk4(4, (0.0,)) == {0.0: (0.0, 1.0)}  # the start is on every grid
 
 
 def test_closed_form_initial_state():
@@ -411,6 +418,8 @@ def test_size_law_is_geometric():
     assert mean == pytest.approx(math.exp(t), abs=1e-9)
     with pytest.raises(ValueError):
         yule_size_law(0, t)
+    with pytest.raises(ValueError, match="^the embedding runs forward in time$"):
+        yule_size_law(1, -t)
 
 
 # -- composition identity ----------------------------------------------
@@ -422,6 +431,8 @@ def test_size_law_is_geometric():
 )
 def test_history_egf_composition(x0, z):
     assert history_composition_residual(x0, z, n_max=40) < 1e-9
+    with pytest.raises(ValueError, match=r"^x0 must sit in \[0, 1\)"):
+        history_composition_residual(1, 0)
 
 
 # -- histogram shape ----------------------------------------------------
@@ -434,3 +445,6 @@ def test_history_histogram_shape_at_fifty():
     lo, hi = min(counts), max(counts)
     assert abs(stats["mean"] - stats["mode"]) <= 0.05 * (hi - lo)
     assert abs(stats["skewness"]) < 0.05
+    with pytest.raises(ValueError, match="^the histogram is empty$"):
+        histogram_summary({})
+    assert not is_unimodal({})
